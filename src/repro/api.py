@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from operator import index as _as_index
 from pathlib import Path
-from typing import (Any, Iterable, Iterator, List, Optional, Sequence, Tuple,
+from typing import (Any, Iterable, Iterator, Optional, Sequence, Tuple,
                     Union)
 
 import numpy as np
@@ -40,26 +40,20 @@ from repro.bounds import MODE_PTW_REL, MODE_REL, Abs, ErrorBound, as_bound
 from repro.compressors.base import CompressorResult
 from repro.core.aesz import output_dtype_and_bound
 from repro.encoding.container import (
-    ARCHIVE_VERSION,
-    CHUNKED_ARCHIVE_VERSION,
-    FRONT_PREFIX,
-    GRID_ARCHIVE_VERSION,
     Archive,
     ChunkedIndex,
     GridIndex,
     build_chunked_archive,
     build_grid_archive,
-    front_size,
     grid_shape_of,
     is_archive,
-    is_chunked_archive,
     is_grid_archive,
-    parse_front,
+    load_index,
 )
 from repro.encoding.lossless import get_backend
 from repro.metrics.error import max_abs_error, psnr
 from repro.registry import compressor_spec, get_compressor, name_for_compressor
-from repro.sources.base import BytesByteSource, FileByteSource, open_source
+from repro.sources.base import BytesByteSource, open_source
 from repro.utils.parallel import parallel_imap
 from repro.utils.validation import value_range
 
@@ -284,7 +278,7 @@ def compress(data: ArrayLike, codec: CodecArg = "sz21",
 # Chunked (out-of-core) pipeline
 # ---------------------------------------------------------------------------
 
-def _open_source(source):
+def _resolve_field_source(source):
     """Resolve a chunked-compression source to an array or a block iterator."""
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -389,10 +383,8 @@ def _compress_chunk_job(job) -> bytes:
                     embed_model=embed_model)
 
 
-def _decompress_chunk_job(job) -> np.ndarray:
-    chunk_blob, model, autoencoder, codec_options = job
-    return _decompress_archive(chunk_blob, model=model, autoencoder=autoencoder,
-                               codec_options=codec_options)
+def _decode_tile_job(job) -> np.ndarray:
+    return _decode_parsed_tile(*job)
 
 
 def _normalize_chunk_shape(chunk_shape, shape: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -474,7 +466,7 @@ def compress_chunked(source: Union[ArrayLike, str, os.PathLike,
     that ``embed_model=True`` stores the weights in *every* chunk; pass
     ``embed_model=False`` and keep the model as a side file when that matters.
     """
-    src = _open_source(source)
+    src = _resolve_field_source(source)
     bound = as_bound(bound)
     if isinstance(codec, str):
         spec = compressor_spec(codec)
@@ -589,21 +581,6 @@ def compress_chunked(source: Union[ArrayLike, str, os.PathLike,
         chunk_blobs=blobs, meta=meta)
 
 
-def _store_chunk(out: np.ndarray, where, chunk: np.ndarray) -> None:
-    """Write ``chunk`` into ``out[where]``, refusing lossy dtype narrowing."""
-    if out.dtype != chunk.dtype:
-        exact_widening = (np.issubdtype(out.dtype, np.floating)
-                          and np.issubdtype(chunk.dtype, np.floating)
-                          and out.dtype.itemsize > chunk.dtype.itemsize)
-        if not exact_widening:
-            raise ValueError(
-                f"out has dtype {out.dtype}, which cannot losslessly hold a "
-                f"chunk reconstructed as {chunk.dtype}; pass a float64 out "
-                f"array (always safe) or omit out"
-            )
-    out[where] = chunk
-
-
 def iter_decompressed_chunks(blob: bytes, *, model: ModelArg = None,
                              autoencoder: Any = None,
                              codec_options: Optional[dict] = None,
@@ -624,68 +601,16 @@ def iter_decompressed_chunks(blob: bytes, *, model: ModelArg = None,
             "stream it with repro.iter_region_tiles(blob, region) instead"
         )
     index = ChunkedIndex.from_bytes(blob)
-    yield from _iter_chunks(index, blob, model=model, autoencoder=autoencoder,
-                            codec_options=codec_options, workers=workers)
-
-
-def _iter_chunks(index: ChunkedIndex, blob: bytes, *, model=None, autoencoder=None,
-                 codec_options: Optional[dict] = None,
-                 workers: Optional[int] = None
-                 ) -> Iterator[Tuple[slice, np.ndarray]]:
-    compressor_spec(index.codec)  # unknown codec fails before any decode work
-    jobs = ((index.chunk_bytes(blob, i), model, autoencoder, codec_options)
-            for i in range(index.n_chunks))
-    for i, chunk in enumerate(parallel_imap(_decompress_chunk_job, jobs,
-                                            workers=workers)):
-        if tuple(chunk.shape) != index.chunk_shape(i):
-            raise ValueError(
-                f"corrupt archive: chunk {i} decoded to shape "
-                f"{tuple(chunk.shape)}, index says {index.chunk_shape(i)}"
-            )
-        yield index.chunk_slice(i), chunk
-
-
-def _decompress_chunked(blob: bytes, *, model=None, autoencoder=None,
-                        codec_options: Optional[dict] = None,
-                        workers: Optional[int] = None,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    index = ChunkedIndex.from_bytes(blob)
-    if out is not None and tuple(out.shape) != index.shape:
-        raise ValueError(f"out has shape {tuple(out.shape)}, archive says {index.shape}")
-    result = out
-    for sl, chunk in _iter_chunks(index, blob, model=model,
-                                  autoencoder=autoencoder,
-                                  codec_options=codec_options,
-                                  workers=workers):
-        if index.shape == ():  # single scalar chunk
-            if out is None:
-                return chunk
-            _store_chunk(out, Ellipsis, chunk)
-            return out
-        if out is not None:
-            _store_chunk(out, sl, chunk)
-            continue
-        if result is None:
-            result = np.empty(index.shape, dtype=chunk.dtype)
-        elif chunk.dtype.itemsize > result.dtype.itemsize:
-            # A later chunk could not be restored narrow; widen what is
-            # already written (exact float upcast) and continue.
-            result = result.astype(chunk.dtype)
-        result[sl] = chunk
-    if result is None:
-        raise ValueError("corrupt archive: chunked archive with no chunks")
-    return result
+    with BytesByteSource(blob) as reader:
+        for i, chunk in _decoded_tiles(reader, index, range(index.n_tiles),
+                                       workers, model, autoencoder,
+                                       codec_options):
+            yield slice(index.starts[i], index.starts[i + 1]), chunk
 
 
 # ---------------------------------------------------------------------------
 # Random-access region decode
 # ---------------------------------------------------------------------------
-
-# The reader implementations live in :mod:`repro.sources`; the private
-# aliases remain because the store and existing tests grew up on them.
-_BytesReader = BytesByteSource
-_FileReader = FileByteSource
-
 
 def open_reader(source: SourceArg):
     """Open a random-access byte source over an archive.
@@ -702,53 +627,22 @@ def open_reader(source: SourceArg):
     return open_source(source)
 
 
-def load_index(reader) -> Union[Archive, ChunkedIndex, GridIndex]:
-    """Parse an archive's index from a reader, touching O(header) bytes.
-
-    Version-1 archives have no tile table, so they are read whole; chunked
-    (v2) and grid (v3) archives read only the front matter and validate the
-    index against the total size.
-    """
-    prefix = reader.read_at(0, FRONT_PREFIX)
-    if len(prefix) < FRONT_PREFIX:
-        # A source shorter than the fixed front matter can never be an
-        # archive; say so before front_size unpacks garbage.
-        raise ValueError(
-            f"corrupt archive: truncated front matter ({len(prefix)} bytes, "
-            f"need at least {FRONT_PREFIX})")
-    total_front = front_size(prefix)
-    front = reader.read_at(0, total_front)
-    if len(front) < total_front:
-        raise ValueError("corrupt archive: truncated header")
-    version, header, data_start = parse_front(front)
-    if version == ARCHIVE_VERSION:
-        return Archive.from_bytes(reader.read_all())
-    if version == CHUNKED_ARCHIVE_VERSION:
-        return ChunkedIndex.from_header(header, data_start, reader.size)
-    if version == GRID_ARCHIVE_VERSION:
-        return GridIndex.from_header(header, data_start, reader.size)
-    raise ValueError(
-        f"unsupported archive version {version} (this build reads versions "
-        f"{ARCHIVE_VERSION}, {CHUNKED_ARCHIVE_VERSION} and "
-        f"{GRID_ARCHIVE_VERSION})")
-
-
-# Backwards-compatible private aliases (pre-store internal names).
-_open_reader = open_reader
-_load_index = load_index
-
-
-def _check_tile_shape(index, i: int, tile: np.ndarray) -> np.ndarray:
-    """Validate a decoded tile's shape against the index (shared by every path)."""
-    if tuple(tile.shape) != index.tile_shape(i):
+def _decode_parsed_tile(i: int, archive: Archive, shape: Tuple[int, ...],
+                        model=None, autoencoder=None,
+                        codec_options: Optional[dict] = None) -> np.ndarray:
+    """Decode tile ``i``'s parsed archive and validate its shape against the
+    index's ``shape`` — the one per-tile decode step every read path runs."""
+    tile = _decompress_parsed(archive, model=model, autoencoder=autoencoder,
+                              codec_options=codec_options)
+    if tuple(tile.shape) != shape:
         raise ValueError(
             f"corrupt archive: tile {i} decoded to shape "
-            f"{tuple(tile.shape)}, index says {index.tile_shape(i)}")
+            f"{tuple(tile.shape)}, index says {shape}")
     return tile
 
 
-def decode_tile(index: Union[ChunkedIndex, GridIndex], i: int, raw: bytes, *,
-                model: ModelArg = None, autoencoder: Any = None,
+def decode_tile(index: Union[Archive, ChunkedIndex, GridIndex], i: int,
+                raw: bytes, *, model: ModelArg = None, autoencoder: Any = None,
                 codec_options: Optional[dict] = None) -> np.ndarray:
     """Decode one CRC-checked tile blob and validate its shape against ``index``.
 
@@ -759,10 +653,8 @@ def decode_tile(index: Union[ChunkedIndex, GridIndex], i: int, raw: bytes, *,
     reader decodes through its worker pool and applies the same
     shape validation.
     """
-    return _check_tile_shape(
-        index, i, _decompress_archive(raw, model=model,
-                                      autoencoder=autoencoder,
-                                      codec_options=codec_options))
+    return _decode_parsed_tile(i, Archive.from_bytes(raw), index.tile_shape(i),
+                               model, autoencoder, codec_options)
 
 
 def tile_crop(bounds, tile_slices) -> Tuple[Tuple[slice, ...], Tuple[slice, ...]]:
@@ -903,41 +795,80 @@ def iter_region_tiles(source: SourceArg, region: RegionArg, *,
     with open_reader(source) as reader:
         index = load_index(reader)
         bounds = normalize_region(region, index.shape)
-        yield from _iter_tiles_for_region(reader, index, bounds, model=model,
-                                          autoencoder=autoencoder,
-                                          codec_options=codec_options,
-                                          workers=workers)
+        for i, tile in _decoded_tiles(reader, index, index.region_tiles(bounds),
+                                      workers, model, autoencoder,
+                                      codec_options):
+            local, inner = tile_crop(bounds, index.tile_slices(i))
+            yield local, tile[inner]
 
 
-def _iter_tiles_for_region(reader, index, bounds, *, model=None,
-                           autoencoder=None,
-                           codec_options: Optional[dict] = None,
-                           workers: Optional[int] = None
-                           ) -> Iterator[Tuple[Tuple[slice, ...], np.ndarray]]:
-    """The single-parse core of :func:`iter_region_tiles` / :func:`read_region`:
-    the caller has already opened ``reader`` and parsed ``index``/``bounds``."""
-    if isinstance(index, Archive):
-        if any(b0 >= b1 for b0, b1 in bounds):
-            return
-        # _load_index already read and parsed the whole v1 blob (it has no
-        # tile table); decode the parsed archive rather than re-reading it.
-        recon = _decompress_parsed(index, model=model, autoencoder=autoencoder,
-                                   codec_options=codec_options)
-        piece = recon[tuple(slice(b0, b1) for b0, b1 in bounds)]
-        yield tuple(slice(0, b1 - b0) for b0, b1 in bounds), piece
-        return
+def _decoded_tiles(reader, index, tiles: Sequence[int],
+                   workers: Optional[int], *decode_opts
+                   ) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(tile id, decoded tile)`` for ``tiles``, in order — where the facade's
+    decoded tiles come from: fetched and CRC-checked here, decoded through
+    :func:`parallel_imap` (a lone tile never pays for a process pool, which
+    is also why ``workers`` is moot for a single-shot archive)."""
     compressor_spec(index.codec)  # unknown codec fails before any decode
-    tiles = index.region_tiles(bounds)
-    jobs = ((index.check_tile(i, reader.read_at(index.data_start
-                                                + index.offsets[i],
-                                                index.lengths[i])),
-             model, autoencoder, codec_options)
-            for i in tiles)
-    for i, tile in zip(tiles, parallel_imap(_decompress_chunk_job, jobs,
-                                            workers=workers)):
-        _check_tile_shape(index, i, tile)
-        local, inner = tile_crop(bounds, index.tile_slices(i))
-        yield local, tile[inner]
+    jobs = ((i, index.tile_archive(i, reader.read_at), index.tile_shape(i),
+             *decode_opts) for i in tiles)
+    return zip(tiles, parallel_imap(_decode_tile_job, jobs,
+                                    workers=workers if len(tiles) > 1 else None))
+
+
+def _place(result: Optional[np.ndarray], bounds, index, i: int,
+           tile: np.ndarray, *, fixed: bool = False,
+           adopt: bool = False) -> np.ndarray:
+    """Crop decoded tile ``i`` to ``bounds`` and write it into ``result`` —
+    the one placement policy of every read path.
+
+    ``result=None`` allocates the region lazily in the first piece's dtype —
+    or, when ``adopt`` says the caller owns ``tile`` (freshly decoded, not a
+    shared cache entry) and the tile *is* the region, returns the tile itself
+    (a single-tile full decode makes no copy).  A later piece that could not
+    be restored narrow widens what is already written, an exact float upcast
+    — unless ``fixed`` marks ``result`` as the caller's ``out=`` array, which
+    is never replaced and refuses lossy dtype narrowing instead.
+    """
+    local, inner = tile_crop(bounds, index.tile_slices(i))
+    piece = tile[inner]
+    if result is None:
+        region_shape = tuple(b1 - b0 for b0, b1 in bounds)
+        if adopt and piece.shape == tile.shape == region_shape:
+            return tile
+        result = np.empty(region_shape, dtype=piece.dtype)
+    elif fixed:
+        if result.dtype != piece.dtype and not (
+                np.issubdtype(result.dtype, np.floating)
+                and np.issubdtype(piece.dtype, np.floating)
+                and result.dtype.itemsize > piece.dtype.itemsize):
+            raise ValueError(
+                f"out has dtype {result.dtype}, which cannot losslessly hold a "
+                f"chunk reconstructed as {piece.dtype}; pass a float64 out "
+                f"array (always safe) or omit out")
+    elif piece.dtype.itemsize > result.dtype.itemsize:
+        result = result.astype(piece.dtype)
+    result[local] = piece
+    return result
+
+
+def _gather(index, bounds, tiles: Iterable[Tuple[int, np.ndarray]],
+            out: Optional[np.ndarray] = None, *,
+            adopt: bool = False) -> np.ndarray:
+    """Assemble ``(tile id, decoded tile)`` pairs into the region-shaped
+    result (or into ``out``) — the one gather loop of every read path."""
+    region_shape = tuple(b1 - b0 for b0, b1 in bounds)
+    if out is not None and tuple(out.shape) != region_shape:
+        raise ValueError(
+            f"out has shape {tuple(out.shape)}, region shape is {region_shape}")
+    result = out
+    for i, tile in tiles:
+        result = _place(result, bounds, index, i, tile,
+                        fixed=out is not None, adopt=adopt)
+    if result is None:
+        # Empty region (nothing decoded): exact shape, header dtype.
+        result = np.empty(region_shape, dtype=np.dtype(index.dtype))
+    return result
 
 
 def read_region(source: SourceArg, region: RegionArg, *,
@@ -969,45 +900,9 @@ def read_region(source: SourceArg, region: RegionArg, *,
     with open_reader(source) as reader:
         index = load_index(reader)
         bounds = normalize_region(region, index.shape)
-        region_shape = tuple(b1 - b0 for b0, b1 in bounds)
-        if out is not None and tuple(out.shape) != region_shape:
-            raise ValueError(
-                f"out has shape {tuple(out.shape)}, region shape is {region_shape}")
-        result = out
-        for sl, piece in _iter_tiles_for_region(reader, index, bounds,
-                                                model=model,
-                                                autoencoder=autoencoder,
-                                                codec_options=codec_options,
-                                                workers=workers):
-            if out is not None:
-                _store_chunk(out, sl, piece)
-                continue
-            if result is None:
-                result = np.empty(region_shape, dtype=piece.dtype)
-            elif piece.dtype.itemsize > result.dtype.itemsize:
-                # A later tile could not be restored narrow; widen what is
-                # already written (exact float upcast) and continue.
-                result = result.astype(piece.dtype)
-            result[sl] = piece
-    if result is None:
-        # Empty region (or empty out): nothing was decoded; shape is exact,
-        # dtype falls back to the header's source dtype.
-        result = np.empty(region_shape, dtype=np.dtype(index.dtype))
-    return result
-
-
-def _decompress_grid(blob: bytes, *, model=None, autoencoder=None,
-                     codec_options: Optional[dict] = None,
-                     workers: Optional[int] = None,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full decode of a version-3 grid archive.
-
-    ``read_region`` with the empty region tuple: ``normalize_region`` pads
-    missing trailing axes to the full axis, so ``()`` selects everything (and
-    the index is parsed exactly once, inside ``read_region``).
-    """
-    return read_region(blob, (), model=model, autoencoder=autoencoder,
-                       codec_options=codec_options, workers=workers, out=out)
+        tiles = _decoded_tiles(reader, index, index.region_tiles(bounds),
+                               workers, model, autoencoder, codec_options)
+        return _gather(index, bounds, tiles, out, adopt=True)
 
 
 def read_header(source: SourceArg) -> Union[Archive, ChunkedIndex, GridIndex]:
@@ -1060,29 +955,10 @@ def decompress(blob: bytes, *, model: ModelArg = None, autoencoder: Any = None,
                 "producing compressor's .decompress(), or re-compress via repro.compress()"
             )
         raise ValueError("corrupt archive: bad magic (not a repro archive)")
-    if is_chunked_archive(blob):
-        return _decompress_chunked(blob, model=model, autoencoder=autoencoder,
-                                   codec_options=codec_options, workers=workers, out=out)
-    if is_grid_archive(blob):
-        return _decompress_grid(blob, model=model, autoencoder=autoencoder,
-                                codec_options=codec_options, workers=workers, out=out)
-    recon = _decompress_archive(blob, model=model, autoencoder=autoencoder,
-                                codec_options=codec_options)
-    if out is not None:
-        if tuple(out.shape) != tuple(recon.shape):
-            raise ValueError(
-                f"out has shape {tuple(out.shape)}, archive says {tuple(recon.shape)}")
-        _store_chunk(out, Ellipsis, recon)
-        return out
-    return recon
-
-
-def _decompress_archive(blob: bytes, *, model=None, autoencoder=None,
-                        codec_options: Optional[dict] = None) -> np.ndarray:
-    """Decode one single-shot (version-1) archive blob."""
-    return _decompress_parsed(Archive.from_bytes(blob), model=model,
-                              autoencoder=autoencoder,
-                              codec_options=codec_options)
+    # The empty region tuple selects every axis in full (``normalize_region``
+    # pads missing trailing axes), whatever the envelope version.
+    return read_region(blob, (), model=model, autoencoder=autoencoder,
+                       codec_options=codec_options, workers=workers, out=out)
 
 
 def _decompress_parsed(archive: Archive, *, model=None, autoencoder=None,

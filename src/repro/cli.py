@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     # ------------------------------------------------------------------- lint
     lint = sub.add_parser("lint",
                           help="run the project's static-analysis rules "
-                               "(RPR001..RPR007) over source paths")
+                               "(RPR001..RPR008) over source paths")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to lint (default: the "
                            "installed repro package)")
@@ -381,7 +381,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                                         workers=args.workers,
                                         embed_model=args.embed_model,
                                         dtype=np.float64)
-            detail = (f", {api.read_header(blob).n_chunks} chunks"
+            detail = (f", {api.read_header(blob).n_tiles} chunks"
                       f", workers {args.workers}")
         else:
             data = load_f32(args.input, args.dims).astype(np.float64)
@@ -454,9 +454,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         # OSError: an http(s):// input whose endpoint cannot serve ranges
         # (or a plain unreadable file) — same clean exit either way.
         raise SystemExit(str(exc))
-    total = getattr(header, "n_tiles", 1)
     print(f"{args.input}: region {args.region} -> {args.output} "
-          f"(shape {shape}, decoded {decoded} of {total} tiles)")
+          f"(shape {shape}, decoded {decoded} of {header.n_tiles} tiles)")
     return 0
 
 
@@ -571,19 +570,6 @@ def _cmd_push(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_summary(header) -> str:
-    """One line describing how an archive is chunked (for `repro info`)."""
-    if hasattr(header, "grid_shape"):  # v3 N-d grid
-        return (f"chunk shape {tuple(header.chunk_shape)}, grid "
-                f"{'x'.join(str(g) for g in header.grid_shape)}, "
-                f"{header.n_tiles} tiles")
-    if hasattr(header, "n_chunks"):  # v2 axis-0 slabs
-        rows = max(b - a for a, b in zip(header.starts, header.starts[1:]))
-        return (f"axis {header.axis}, {rows} rows per chunk, "
-                f"{header.n_chunks} chunks")
-    return "single-shot (1 payload)"
-
-
 def _info_archive(path: str) -> int:
     # One reader serves both the size and the header parse, so an
     # http(s):// archive is inspected with two small range requests —
@@ -595,14 +581,13 @@ def _info_archive(path: str) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
     bound = ErrorBound(header.bound_mode, header.bound_value)
-    kinds = {1: "single-shot", 2: "chunked, axis-0 slabs", 3: "N-d chunk grid"}
     print(f"archive : {path} ({blob_size} bytes)")
-    print(f"format  : RPRA v{header.version} ({kinds.get(header.version, 'unknown')})")
+    print(f"format  : RPRA v{header.version} ({header.kind})")
     print(f"codec   : {header.codec}")
     print(f"shape   : {header.shape}, dtype {header.dtype}")
     print(f"bound   : {header.bound_mode} = {header.bound_value:g}  "
           f"({bound.description})")
-    print(f"tiles   : {_grid_summary(header)}")
+    print(f"tiles   : {header.layout_summary()}")
     ratio = compression_ratio(header.n_points * np.dtype(header.dtype).itemsize,
                               blob_size)
     print(f"ratio   : {ratio:.2f}x vs uncompressed {header.dtype}")
@@ -637,7 +622,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             header = api.read_header(blob)
             print(f"archive         : codec {header.codec}, shape {header.shape}, "
                   f"dtype {header.dtype}, bound {header.bound_mode}={header.bound_value:g}"
-                  f", {_grid_summary(header)}")
+                  f", {header.layout_summary()}")
         print(f"compression     : {compression_ratio(original.size * 4, len(blob)):.2f}x "
               f"({len(blob)} bytes)")
     return 0

@@ -18,9 +18,11 @@ from __future__ import annotations
 import itertools
 import json
 import struct
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, ClassVar, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -166,27 +168,129 @@ def is_archive(data: bytes) -> bool:
 
 
 @dataclass
-class Archive:
-    """The parsed form of a self-describing compressed archive."""
+class _Envelope:
+    """What every envelope version shares: the header fields + the tile protocol.
+
+    Whatever version wrote it, an archive is ``n_tiles`` independent *tiles*,
+    each a complete single-shot archive of one axis-aligned box of the field.
+    Readers use only this protocol — ``n_tiles`` / ``tile_slices(i)`` /
+    ``tile_shape(i)`` / ``region_tiles(bounds)`` / ``tile_key(i)`` /
+    ``check_tile(i, raw)`` / ``tile_bytes(blob, i)`` / ``tile_archive(i,
+    read_at)`` — so the envelope-version decision never leaves this module.
+    A version contributes its geometry (``n_tiles``, ``tile_slices``,
+    ``_tiles_in``) and where a tile's bytes live.
+    """
 
     codec: str
     shape: Tuple[int, ...]
     dtype: str
     bound_mode: str
     bound_value: float
-    payload: bytes
-    meta: dict = field(default_factory=dict)
-    extra: Dict[str, bytes] = field(default_factory=dict)
-    version: int = ARCHIVE_VERSION
+
+    _NOUN: ClassVar[str] = "tile"  # what error messages call one tile
 
     @property
     def n_points(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
 
+    @property
+    def n_tiles(self) -> int:
+        raise NotImplementedError
+
+    def tile_slices(self, i: int) -> Tuple[slice, ...]:
+        """Tile ``i``'s extent in full-field coordinates, one slice per axis."""
+        raise NotImplementedError
+
+    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
+        raise NotImplementedError
+
+    def _check_tile_id(self, i: int) -> None:
+        if not 0 <= i < self.n_tiles:
+            raise IndexError(f"{self._NOUN} index {i} out of range "
+                             f"({self.n_tiles} {self._NOUN}s)")
+
+    def tile_shape(self, i: int) -> Tuple[int, ...]:
+        return tuple(s.stop - s.start for s in self.tile_slices(i))
+
+    def layout(self) -> dict:
+        """The version-specific tiling fields of a JSON header document."""
+        return {}
+
+    def region_tiles(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
+        """Indices of the tiles intersecting ``bounds``, in storage order
+        (row-major over a v3 grid).
+
+        ``bounds`` must be normalized (one ``(start, stop)`` pair per axis,
+        ``0 <= start <= stop <= dim``); an empty axis selects no tiles.
+        """
+        if len(bounds) != len(self.shape):
+            raise ValueError(
+                f"region has {len(bounds)} axes, archive field has {len(self.shape)}")
+        if any(b0 >= b1 for b0, b1 in bounds):
+            return []
+        if not self.shape:
+            return [0]
+        return self._tiles_in(bounds)
+
+
+@dataclass
+class Archive(_Envelope):
+    """The parsed form of a self-describing compressed archive.
+
+    Under the tile protocol a single-shot archive is one tile covering the
+    whole field, and that tile's parsed archive is the object itself.
+    """
+
+    payload: bytes
+    meta: dict = field(default_factory=dict)
+    extra: Dict[str, bytes] = field(default_factory=dict)
+    version: int = ARCHIVE_VERSION
+
+    kind: ClassVar[str] = "single-shot"
+
+    # -------------------------------------------------------- tile protocol
+    @property
+    def n_tiles(self) -> int:
+        return 1
+
+    def tile_slices(self, i: int) -> Tuple[slice, ...]:
+        return tuple(slice(0, dim) for dim in self.shape)
+
+    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
+        return [0]
+
+    def tile_key(self, i: int) -> Tuple[int, ...]:
+        """Cache key of the one tile; the parse already CRC-checked its bytes."""
+        self._check_tile_id(i)
+        return (0,)
+
+    def check_tile(self, i: int, raw: bytes) -> bytes:
+        """Validate the tile's bytes — the whole archive — by parsing them
+        (a single-shot archive's CRC-32s live in its own header)."""
+        self._check_tile_id(i)
+        raw = bytes(raw)
+        Archive.from_bytes(raw)
+        return raw
+
+    def tile_bytes(self, blob: bytes, i: int) -> bytes:
+        return self.check_tile(i, blob)
+
+    def tile_archive(self, i: int,
+                     read_at: Callable[[int, int], bytes]) -> "Archive":
+        """Tile ``i`` as a parsed single-shot archive: this object, no I/O."""
+        self._check_tile_id(i)
+        return self
+
+    def content_identity(self) -> tuple:
+        """The content token an entity tag hashes: the payload's size + CRC."""
+        return (len(self.payload), zlib.crc32(self.payload))
+
+    def layout_summary(self) -> str:
+        """One line describing how the archive is chunked (``repro info``)."""
+        return "single-shot (1 payload)"
+
     # ------------------------------------------------------------ serialize
     def to_bytes(self) -> bytes:
-        import zlib
-
         header = {
             "codec": self.codec,
             "shape": [int(s) for s in self.shape],
@@ -241,11 +345,7 @@ class Archive:
                 "repro.read_region"
             )
         if version != ARCHIVE_VERSION:
-            raise ValueError(
-                f"unsupported archive version {version} (this build reads "
-                f"versions {ARCHIVE_VERSION}, {CHUNKED_ARCHIVE_VERSION} and "
-                f"{GRID_ARCHIVE_VERSION})"
-            )
+            raise _unsupported_version(version)
         raw, pos = take(pos, _LEN.size, "header length")
         (hlen,) = _LEN.unpack(raw)
         raw, pos = take(pos, hlen, "header")
@@ -255,18 +355,7 @@ class Archive:
             raise ValueError(f"corrupt archive: unreadable header ({exc})") from None
         if not isinstance(header, dict):
             raise ValueError("corrupt archive: header is not a JSON object")
-        try:
-            codec = str(header["codec"])
-            shape = tuple(int(s) for s in header["shape"])
-            dtype = str(header["dtype"])
-            bound = header["bound"]
-            bound_mode = str(bound["mode"])
-            bound_value = float(bound["value"])
-            meta = header.get("meta", {})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt archive: malformed header ({exc})") from None
-        if not isinstance(meta, dict):
-            raise ValueError("corrupt archive: header meta is not a JSON object")
+        fields = _common_header_fields(header)
 
         raw, pos = take(pos, _QLEN.size, "payload length")
         (plen,) = _QLEN.unpack(raw)
@@ -290,8 +379,6 @@ class Archive:
 
         crc = header.get("crc")
         if crc is not None:
-            import zlib
-
             extra_crc = crc.get("extra", {}) if isinstance(crc, dict) else None
             if not isinstance(crc, dict) or not isinstance(extra_crc, dict):
                 raise ValueError("corrupt archive: malformed crc field")
@@ -301,9 +388,7 @@ class Archive:
                 if zlib.crc32(value) != extra_crc.get(key):
                     raise ValueError(
                         f"corrupt archive: section {key!r} checksum mismatch")
-        return cls(codec=codec, shape=shape, dtype=dtype, bound_mode=bound_mode,
-                   bound_value=bound_value, payload=payload, meta=meta, extra=extra,
-                   version=version)
+        return cls(**fields, payload=payload, extra=extra, version=version)
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +450,20 @@ def parse_front(data: bytes) -> Tuple[int, dict, int]:
     return version, header, FRONT_PREFIX + hlen
 
 
-def _common_header_fields(header: dict):
-    """Extract the fields every envelope version shares from a header dict."""
+def _common_header_fields(header: dict) -> dict:
+    """The constructor fields every envelope version shares, from a header dict."""
     try:
-        codec = str(header["codec"])
-        shape = tuple(int(s) for s in header["shape"])
-        dtype = str(header["dtype"])
         bound = header["bound"]
-        bound_mode = str(bound["mode"])
-        bound_value = float(bound["value"])
-        meta = header.get("meta", {})
+        fields = dict(codec=str(header["codec"]),
+                      shape=tuple(int(s) for s in header["shape"]),
+                      dtype=str(header["dtype"]), bound_mode=str(bound["mode"]),
+                      bound_value=float(bound["value"]),
+                      meta=header.get("meta", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt archive: malformed header ({exc})") from None
-    if not isinstance(meta, dict):
+    if not isinstance(fields["meta"], dict):
         raise ValueError("corrupt archive: header meta is not a JSON object")
-    return codec, shape, dtype, bound_mode, bound_value, meta
+    return fields
 
 
 def _check_contiguous(offsets: Sequence[int], lengths: Sequence[int],
@@ -397,57 +481,100 @@ def _check_contiguous(offsets: Sequence[int], lengths: Sequence[int],
         raise ValueError(f"corrupt archive: {-missing} trailing bytes")
 
 
-def _index_tile_key(index, i: int) -> Tuple[int, int, int, int]:
-    """Shared ``tile_key`` implementation for both index classes.
+def _unsupported_version(version: int) -> ValueError:
+    return ValueError(
+        f"unsupported archive version {version} (this build reads versions "
+        f"{ARCHIVE_VERSION}, {CHUNKED_ARCHIVE_VERSION} and "
+        f"{GRID_ARCHIVE_VERSION})")
 
-    ``(tile index, byte offset, length, CRC-32)`` from the front-header index
-    table alone — no tile bytes read or hashed — so a decoded-tile cache can
-    key on ``(archive identity, tile_key)`` and an in-place rewrite of the
-    tile (new CRC, almost surely new offset/length) can never alias a stale
-    entry.
+
+def _parse_tile_table(section: Mapping) -> Tuple[Tuple[int, ...], ...]:
+    """The ``(offsets, lengths, crcs)`` arrays of a v2/v3 index section."""
+    return (tuple(int(o) for o in section["offsets"]),
+            tuple(int(n) for n in section["lengths"]),
+            tuple(int(c) for c in section["crcs"]))
+
+
+@dataclass
+class _TileTable(_Envelope):
+    """The tile index table v2 and v3 share: where each tile's bytes live.
+
+    ``offsets[i]`` / ``lengths[i]`` locate tile ``i`` relative to
+    ``data_start`` and ``crcs[i]`` is the CRC-32 of the whole tile blob.
     """
-    if not 0 <= i < index.n_tiles:
-        raise IndexError(f"tile index {i} out of range ({index.n_tiles} tiles)")
-    return (int(i), int(index.offsets[i]), int(index.lengths[i]),
-            int(index.crcs[i]))
+
+    offsets: Tuple[int, ...]
+    lengths: Tuple[int, ...]
+    crcs: Tuple[int, ...]
+    data_start: int              # absolute byte offset of the first tile blob
+
+    @property
+    def n_tiles(self) -> int:
+        return len(self.offsets)
+
+    def check_tile(self, i: int, raw: bytes) -> bytes:
+        """Validate tile ``i``'s bytes (length + CRC-32) as read from storage."""
+        raw = bytes(raw)
+        if len(raw) != self.lengths[i] or zlib.crc32(raw) != self.crcs[i]:
+            raise ValueError(
+                f"corrupt archive: {self._NOUN} {i} checksum mismatch")
+        return raw
+
+    def tile_key(self, i: int) -> Tuple[int, ...]:
+        """Cheap per-tile cache key from the index table alone.
+
+        ``(tile index, byte offset, length, CRC-32)`` — no tile bytes read or
+        hashed — so a decoded-tile cache can key on ``(archive identity,
+        tile_key)`` and an in-place rewrite of the tile (new CRC, almost
+        surely new offset/length) can never alias a stale entry.
+        """
+        self._check_tile_id(i)
+        return (int(i), int(self.offsets[i]), int(self.lengths[i]),
+                int(self.crcs[i]))
+
+    def tile_bytes(self, blob: bytes, i: int) -> bytes:
+        """Slice tile ``i``'s archive out of the full blob, CRC-checked."""
+        self._check_tile_id(i)
+        start = self.data_start + self.offsets[i]
+        end = start + self.lengths[i]
+        if end > len(blob):
+            raise ValueError(f"corrupt archive: truncated {self._NOUN} {i}")
+        return self.check_tile(i, blob[start:end])
+
+    def tile_archive(self, i: int,
+                     read_at: Callable[[int, int], bytes]) -> Archive:
+        """Tile ``i`` as a parsed single-shot archive, its bytes fetched with
+        one positional ``read_at(offset, length)`` and CRC-checked."""
+        return Archive.from_bytes(self.check_tile(
+            i, read_at(self.data_start + self.offsets[i], self.lengths[i])))
+
+    def content_identity(self) -> tuple:
+        """The content token an entity tag hashes: every tile's identity."""
+        return (tuple(self.offsets), tuple(self.lengths), tuple(self.crcs))
 
 
-def _check_blob(raw: bytes, length: int, crc: int, label: str) -> bytes:
-    """Validate one chunk/tile blob (length + CRC-32) as read from storage."""
-    import zlib
-
-    raw = bytes(raw)
-    if len(raw) != length or zlib.crc32(raw) != crc:
-        raise ValueError(f"corrupt archive: {label} checksum mismatch")
-    return raw
-
-
-def _blob_table(blobs: Sequence[bytes]):
-    """The contiguous (offsets, lengths, crcs) index arrays for blob bodies."""
-    import zlib
-
-    offsets, lengths, crcs = [], [], []
-    pos = 0
-    for blob in blobs:
-        offsets.append(pos)
-        lengths.append(len(blob))
-        crcs.append(zlib.crc32(blob))
-        pos += len(blob)
-    return offsets, lengths, crcs
-
-
-def _assemble_envelope(version: int, header: dict,
-                       blobs: Iterable[bytes]) -> bytes:
-    """Serialize magic | version | header len | canonical JSON | blob bodies."""
+def _build_tiled_archive(version: int, section: str, geometry: dict,
+                         blobs: Sequence[bytes], *, codec: str,
+                         shape: Sequence[int], dtype: str, bound_mode: str,
+                         bound_value: float, meta: Optional[dict]) -> bytes:
+    """Serialize a v2/v3 envelope: magic | version | header len | canonical
+    JSON | tile blobs.  The header's ``section`` holds the version's
+    ``geometry`` plus the contiguous ``offsets`` / ``lengths`` / ``crcs``
+    tile table of ``blobs``."""
+    lengths = [len(blob) for blob in blobs]
+    header = {
+        "codec": str(codec),
+        "shape": [int(s) for s in shape],
+        "dtype": str(dtype),
+        "bound": {"mode": str(bound_mode), "value": float(bound_value)},
+        "meta": meta or {},
+        section: {**geometry, "lengths": lengths,
+                  "offsets": list(itertools.accumulate(lengths, initial=0))[:-1],
+                  "crcs": [zlib.crc32(blob) for blob in blobs]},
+    }
     header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
-    out = bytearray()
-    out += ARCHIVE_MAGIC
-    out += _U16.pack(version)
-    out += _LEN.pack(len(header_bytes))
-    out += header_bytes
-    for blob in blobs:
-        out += blob
-    return bytes(out)
+    return b"".join([ARCHIVE_MAGIC, _U16.pack(version),
+                     _LEN.pack(len(header_bytes)), header_bytes, *blobs])
 
 
 def grid_shape_of(shape: Sequence[int], chunk_shape: Sequence[int]) -> Tuple[int, ...]:
@@ -478,14 +605,6 @@ def archive_version(data: bytes) -> int:
     return version
 
 
-def is_chunked_archive(data: bytes) -> bool:
-    """True when ``data`` is a version-2 (multi-chunk) archive."""
-    try:
-        return archive_version(data) == CHUNKED_ARCHIVE_VERSION
-    except ValueError:
-        return False
-
-
 def is_grid_archive(data: bytes) -> bool:
     """True when ``data`` is a version-3 (N-d chunk grid) archive."""
     try:
@@ -495,109 +614,49 @@ def is_grid_archive(data: bytes) -> bool:
 
 
 @dataclass
-class ChunkedIndex:
+class ChunkedIndex(_TileTable):
     """The parsed front matter of a chunked archive: everything but the chunks.
 
     Mirrors :class:`Archive`'s header attributes (``codec`` / ``shape`` /
     ``dtype`` / ``bound_mode`` / ``bound_value`` / ``meta``) so inspection code
-    can treat both formats uniformly, and adds the chunk index table.
+    can treat both formats uniformly, and adds the chunk index table.  Under
+    the tile protocol it is a degenerate 1-d grid whose tiles are the axis-0
+    slabs ``starts[i]:starts[i+1]``.
     """
 
-    codec: str
-    shape: Tuple[int, ...]
-    dtype: str
-    bound_mode: str
-    bound_value: float
     axis: int
-    starts: Tuple[int, ...]      # chunk boundaries along ``axis``, len n_chunks+1
-    offsets: Tuple[int, ...]     # chunk byte offsets relative to ``data_start``
-    lengths: Tuple[int, ...]
-    crcs: Tuple[int, ...]
-    data_start: int              # absolute byte offset of the first chunk blob
+    starts: Tuple[int, ...]      # chunk boundaries along ``axis``, len n_tiles+1
     meta: dict = field(default_factory=dict)
     version: int = CHUNKED_ARCHIVE_VERSION
 
-    @property
-    def n_chunks(self) -> int:
-        return len(self.offsets)
-
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
-
-    def chunk_slice(self, i: int) -> slice:
-        """The slab of the full field covered by chunk ``i`` (along ``axis``)."""
-        return slice(self.starts[i], self.starts[i + 1])
-
-    def chunk_shape(self, i: int) -> Tuple[int, ...]:
-        if not self.shape:  # 0-d field: one chunk holding the scalar itself
-            return ()
-        rows = self.starts[i + 1] - self.starts[i]
-        return self.shape[:self.axis] + (rows,) + self.shape[self.axis + 1:]
-
-    def chunk_bytes(self, blob: bytes, i: int) -> bytes:
-        """Slice chunk ``i``'s archive out of the full blob, CRC-checked."""
-        if not 0 <= i < self.n_chunks:
-            raise IndexError(f"chunk index {i} out of range ({self.n_chunks} chunks)")
-        start = self.data_start + self.offsets[i]
-        end = start + self.lengths[i]
-        if end > len(blob):
-            raise ValueError(f"corrupt archive: truncated chunk {i}")
-        return self.check_tile(i, blob[start:end])
-
-    # -------------------------------------------------- tile protocol (v2/v3)
-    # The uniform random-access surface shared with :class:`GridIndex`: a v2
-    # archive is served by region readers as a degenerate 1-d grid whose tiles
-    # are the axis-0 slabs.
-
-    @property
-    def n_tiles(self) -> int:
-        return self.n_chunks
+    kind: ClassVar[str] = "chunked, axis-0 slabs"
+    _NOUN: ClassVar[str] = "chunk"
 
     def tile_slices(self, i: int) -> Tuple[slice, ...]:
-        """Tile ``i``'s extent in full-field coordinates, one slice per axis."""
-        if not self.shape:
+        if not self.shape:  # 0-d field: one chunk holding the scalar itself
             return ()
-        return ((self.chunk_slice(i),)
+        return ((slice(self.starts[i], self.starts[i + 1]),)
                 + tuple(slice(0, dim) for dim in self.shape[1:]))
 
-    def tile_shape(self, i: int) -> Tuple[int, ...]:
-        return self.chunk_shape(i)
-
-    def check_tile(self, i: int, raw: bytes) -> bytes:
-        """Validate tile ``i``'s bytes (length + CRC-32) as read from storage."""
-        return _check_blob(raw, self.lengths[i], self.crcs[i], f"chunk {i}")
-
-    def tile_key(self, i: int) -> Tuple[int, int, int, int]:
-        """Cheap per-tile cache key from the index table alone
-        (see :func:`_index_tile_key`)."""
-        return _index_tile_key(self, i)
-
-    def tile_bytes(self, blob: bytes, i: int) -> bytes:
-        return self.chunk_bytes(blob, i)
-
-    def region_tiles(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
-        """Indices of the chunks intersecting ``bounds`` (per-axis start/stop).
-
-        ``bounds`` must be normalized (one ``(start, stop)`` pair per axis,
-        ``0 <= start <= stop <= dim``); an empty axis selects no chunks.
-        """
-        if len(bounds) != len(self.shape):
-            raise ValueError(
-                f"region has {len(bounds)} axes, archive field has {len(self.shape)}")
-        if any(b0 >= b1 for b0, b1 in bounds):
-            return []
-        if not self.shape:
-            return [0]
+    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
         b0, b1 = bounds[0]
         first = max(0, bisect_right(self.starts, b0) - 1)
         out = []
-        for i in range(first, self.n_chunks):
+        for i in range(first, self.n_tiles):
             if self.starts[i] >= b1:
                 break
             if self.starts[i + 1] > b0:  # skip empty chunks touching the edge
                 out.append(i)
         return out
+
+    def layout(self) -> dict:
+        return {"axis": self.axis}
+
+    def layout_summary(self) -> str:
+        """One line describing how the archive is chunked (``repro info``)."""
+        rows = max(b - a for a, b in zip(self.starts, self.starts[1:]))
+        return (f"axis {self.axis}, {rows} rows per chunk, "
+                f"{self.n_tiles} chunks")
 
     # -------------------------------------------------------------- parse
     @classmethod
@@ -609,15 +668,13 @@ class ChunkedIndex:
         in-memory blob ``len(blob)``, for an on-disk archive the file size —
         so index validation never needs the body bytes themselves.
         """
-        codec, shape, dtype, bound_mode, bound_value, meta = \
-            _common_header_fields(header)
+        fields = _common_header_fields(header)
+        shape = fields["shape"]
         try:
             chunks = header["chunks"]
             axis = int(chunks["axis"])
             starts = tuple(int(s) for s in chunks["starts"])
-            offsets = tuple(int(o) for o in chunks["offsets"])
-            lengths = tuple(int(n) for n in chunks["lengths"])
-            crcs = tuple(int(c) for c in chunks["crcs"])
+            offsets, lengths, crcs = _parse_tile_table(chunks)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt archive: malformed header ({exc})") from None
         n = len(offsets)
@@ -636,10 +693,8 @@ class ChunkedIndex:
         if starts[-1] != expected_rows:
             raise ValueError("corrupt archive: chunk starts do not cover the field")
         _check_contiguous(offsets, lengths, data_start, total_size, "chunk")
-        return cls(codec=codec, shape=shape, dtype=dtype, bound_mode=bound_mode,
-                   bound_value=bound_value, axis=axis, starts=starts, offsets=offsets,
-                   lengths=lengths, crcs=crcs, data_start=data_start, meta=meta,
-                   version=CHUNKED_ARCHIVE_VERSION)
+        return cls(**fields, axis=axis, starts=starts, offsets=offsets,
+                   lengths=lengths, crcs=crcs, data_start=data_start)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ChunkedIndex":
@@ -663,17 +718,10 @@ def build_chunked_archive(*, codec: str, shape: Tuple[int, ...], dtype: str,
         raise ValueError("a chunked archive needs at least one chunk")
     if len(starts) != len(chunk_blobs) + 1:
         raise ValueError("starts must have exactly one more entry than chunk_blobs")
-    offsets, lengths, crcs = _blob_table(chunk_blobs)
-    header = {
-        "codec": str(codec),
-        "shape": [int(s) for s in shape],
-        "dtype": str(dtype),
-        "bound": {"mode": str(bound_mode), "value": float(bound_value)},
-        "meta": meta or {},
-        "chunks": {"axis": int(axis), "starts": starts, "offsets": offsets,
-                   "lengths": lengths, "crcs": crcs},
-    }
-    return _assemble_envelope(CHUNKED_ARCHIVE_VERSION, header, chunk_blobs)
+    return _build_tiled_archive(
+        CHUNKED_ARCHIVE_VERSION, "chunks", {"axis": int(axis), "starts": starts},
+        chunk_blobs, codec=codec, shape=shape, dtype=dtype,
+        bound_mode=bound_mode, bound_value=bound_value, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +744,7 @@ def build_chunked_archive(*, codec: str, shape: Tuple[int, ...], dtype: str,
 
 
 @dataclass
-class GridIndex:
+class GridIndex(_TileTable):
     """The parsed front matter of a version-3 (N-d chunk grid) archive.
 
     Mirrors :class:`Archive`'s header attributes (``codec`` / ``shape`` /
@@ -706,80 +754,38 @@ class GridIndex:
     ``region_tiles``), so region readers treat both formats uniformly.
     """
 
-    codec: str
-    shape: Tuple[int, ...]
-    dtype: str
-    bound_mode: str
-    bound_value: float
     chunk_shape: Tuple[int, ...]  # per-axis tile size, len == len(shape)
     grid_shape: Tuple[int, ...]   # tiles per axis: ceil(shape / chunk_shape)
-    offsets: Tuple[int, ...]      # row-major over the grid, from ``data_start``
-    lengths: Tuple[int, ...]
-    crcs: Tuple[int, ...]
-    data_start: int               # absolute byte offset of the first tile blob
     meta: dict = field(default_factory=dict)
     version: int = GRID_ARCHIVE_VERSION
 
-    @property
-    def n_tiles(self) -> int:
-        return len(self.offsets)
+    kind: ClassVar[str] = "N-d chunk grid"
 
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
-
-    # --------------------------------------------------------- tile protocol
     def tile_coords(self, i: int) -> Tuple[int, ...]:
         """Tile ``i``'s per-axis grid coordinates (row-major flat order)."""
-        if not 0 <= i < self.n_tiles:
-            raise IndexError(f"tile index {i} out of range ({self.n_tiles} tiles)")
+        self._check_tile_id(i)
         return tuple(int(c) for c in np.unravel_index(i, self.grid_shape))
 
     def tile_slices(self, i: int) -> Tuple[slice, ...]:
-        """Tile ``i``'s extent in full-field coordinates, one slice per axis."""
         return tuple(
             slice(c * cs, min((c + 1) * cs, dim))
             for c, cs, dim in zip(self.tile_coords(i), self.chunk_shape, self.shape))
 
-    def tile_shape(self, i: int) -> Tuple[int, ...]:
-        return tuple(s.stop - s.start for s in self.tile_slices(i))
-
-    def check_tile(self, i: int, raw: bytes) -> bytes:
-        """Validate tile ``i``'s bytes (length + CRC-32) as read from storage."""
-        return _check_blob(raw, self.lengths[i], self.crcs[i], f"tile {i}")
-
-    def tile_key(self, i: int) -> Tuple[int, int, int, int]:
-        """Cheap per-tile cache key from the index table alone
-        (see :func:`_index_tile_key`)."""
-        return _index_tile_key(self, i)
-
-    def tile_bytes(self, blob: bytes, i: int) -> bytes:
-        """Slice tile ``i``'s archive out of the full blob, CRC-checked."""
-        if not 0 <= i < self.n_tiles:
-            raise IndexError(f"tile index {i} out of range ({self.n_tiles} tiles)")
-        start = self.data_start + self.offsets[i]
-        end = start + self.lengths[i]
-        if end > len(blob):
-            raise ValueError(f"corrupt archive: truncated tile {i}")
-        return self.check_tile(i, blob[start:end])
-
-    def region_tiles(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
-        """Flat indices of the tiles intersecting ``bounds``, in row-major order.
-
-        ``bounds`` must be normalized (one ``(start, stop)`` pair per axis,
-        ``0 <= start <= stop <= dim``); an empty axis selects no tiles.
-        """
-        if len(bounds) != len(self.shape):
-            raise ValueError(
-                f"region has {len(bounds)} axes, archive field has {len(self.shape)}")
-        if any(b0 >= b1 for b0, b1 in bounds):
-            return []
-        if not self.shape:
-            return [0]
+    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
         axis_ranges = [range(b0 // cs, -(-b1 // cs))
                        for (b0, b1), cs in zip(bounds, self.chunk_shape)]
         return [int(np.ravel_multi_index(coords, self.grid_shape))
                 for coords in itertools.product(*axis_ranges)]
+
+    def layout(self) -> dict:
+        return {"chunk_shape": list(self.chunk_shape),
+                "grid_shape": list(self.grid_shape)}
+
+    def layout_summary(self) -> str:
+        """One line describing how the archive is chunked (``repro info``)."""
+        return (f"chunk shape {tuple(self.chunk_shape)}, grid "
+                f"{'x'.join(str(g) for g in self.grid_shape)}, "
+                f"{self.n_tiles} tiles")
 
     # -------------------------------------------------------------- parse
     @classmethod
@@ -791,14 +797,12 @@ class GridIndex:
         in-memory blob ``len(blob)``, for an on-disk archive the file size —
         so index validation never needs the tile bytes themselves.
         """
-        codec, shape, dtype, bound_mode, bound_value, meta = \
-            _common_header_fields(header)
+        fields = _common_header_fields(header)
+        shape = fields["shape"]
         try:
             grid = header["grid"]
             chunk_shape = tuple(int(c) for c in grid["chunk_shape"])
-            offsets = tuple(int(o) for o in grid["offsets"])
-            lengths = tuple(int(n) for n in grid["lengths"])
-            crcs = tuple(int(c) for c in grid["crcs"])
+            offsets, lengths, crcs = _parse_tile_table(grid)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt archive: malformed header ({exc})") from None
         if len(chunk_shape) != len(shape):
@@ -814,11 +818,9 @@ class GridIndex:
                 f"corrupt archive: grid index has {len(offsets)} tiles, "
                 f"grid shape {grid_shape} needs {n}")
         _check_contiguous(offsets, lengths, data_start, total_size, "tile")
-        return cls(codec=codec, shape=shape, dtype=dtype, bound_mode=bound_mode,
-                   bound_value=bound_value, chunk_shape=chunk_shape,
-                   grid_shape=grid_shape, offsets=offsets, lengths=lengths,
-                   crcs=crcs, data_start=data_start, meta=meta,
-                   version=GRID_ARCHIVE_VERSION)
+        return cls(**fields, chunk_shape=chunk_shape, grid_shape=grid_shape,
+                   offsets=offsets, lengths=lengths, crcs=crcs,
+                   data_start=data_start)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GridIndex":
@@ -830,6 +832,34 @@ class GridIndex:
                 f"or ChunkedIndex.from_bytes"
             )
         return cls.from_header(header, data_start, len(data))
+
+
+def load_index(reader) -> Union[Archive, ChunkedIndex, GridIndex]:
+    """Parse an archive's index from a reader, touching O(header) bytes.
+
+    Version-1 archives have no tile table, so they are read whole; chunked
+    (v2) and grid (v3) archives read only the front matter and validate the
+    index against the total size.
+    """
+    prefix = reader.read_at(0, FRONT_PREFIX)
+    if len(prefix) < FRONT_PREFIX:
+        # A source shorter than the fixed front matter can never be an
+        # archive; say so before front_size unpacks garbage.
+        raise ValueError(
+            f"corrupt archive: truncated front matter ({len(prefix)} bytes, "
+            f"need at least {FRONT_PREFIX})")
+    total_front = front_size(prefix)
+    if archive_version(prefix) == ARCHIVE_VERSION:
+        return Archive.from_bytes(reader.read_all())
+    front = reader.read_at(0, total_front)
+    if len(front) < total_front:
+        raise ValueError("corrupt archive: truncated header")
+    version, header, data_start = parse_front(front)
+    if version == CHUNKED_ARCHIVE_VERSION:
+        return ChunkedIndex.from_header(header, data_start, reader.size)
+    if version == GRID_ARCHIVE_VERSION:
+        return GridIndex.from_header(header, data_start, reader.size)
+    raise _unsupported_version(version)
 
 
 def build_grid_archive(*, codec: str, shape: Tuple[int, ...], dtype: str,
@@ -854,14 +884,7 @@ def build_grid_archive(*, codec: str, shape: Tuple[int, ...], dtype: str,
     if len(tile_blobs) != n:
         raise ValueError(
             f"grid shape {grid_shape} needs {n} tiles, got {len(tile_blobs)}")
-    offsets, lengths, crcs = _blob_table(tile_blobs)
-    header = {
-        "codec": str(codec),
-        "shape": list(shape),
-        "dtype": str(dtype),
-        "bound": {"mode": str(bound_mode), "value": float(bound_value)},
-        "meta": meta or {},
-        "grid": {"chunk_shape": list(chunk_shape), "offsets": offsets,
-                 "lengths": lengths, "crcs": crcs},
-    }
-    return _assemble_envelope(GRID_ARCHIVE_VERSION, header, tile_blobs)
+    return _build_tiled_archive(
+        GRID_ARCHIVE_VERSION, "grid", {"chunk_shape": list(chunk_shape)},
+        tile_blobs, codec=codec, shape=shape, dtype=dtype,
+        bound_mode=bound_mode, bound_value=bound_value, meta=meta)

@@ -13,6 +13,7 @@ RPR004    no mutable default arguments
 RPR005    every concrete ``Compressor`` in ``compressors/`` is registered
 RPR006    ``http.server``/``socketserver`` stay off the ``import repro`` path
 RPR007    every ``repro.__all__`` name appears in ``docs/api.md``
+RPR008    no probing of an archive header's envelope version outside ``container.py``
 ========  ===============================================================
 
 See ``docs/quality.md`` for the full rule descriptions and the matching

@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from repro.lint import (corrupt, defaults, docs_rule, excepts, guarded,
-                        imports, registry_rule)
+from repro.lint import (corrupt, defaults, docs_rule, envelope, excepts,
+                        guarded, imports, registry_rule)
 from repro.lint.core import Diagnostic, FileContext, parse_file
 
 #: (code, one-line summary, check) — per-file rules, fed a FileContext.
@@ -19,6 +19,7 @@ FILE_RULES = (
     ("RPR003", "no bare except / silent except Exception", excepts.check),
     ("RPR004", "no mutable default arguments", defaults.check),
     ("RPR005", "compressors are registered", registry_rule.check),
+    ("RPR008", "envelope version stays behind container.py", envelope.check),
 )
 
 #: (code, one-line summary, check) — project rules, fed the package root.
@@ -96,7 +97,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Project-invariant static analysis for the repro codebase "
-                    "(RPR001..RPR007). Exits 1 when findings exist.")
+                    "(RPR001..RPR008). Exits 1 when findings exist.")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint (default: the "
                              "installed repro package)")

@@ -68,7 +68,10 @@ def quantize_prediction_errors(
 
     step = 2.0 * error_bound
     center = num_bins // 2
-    raw = np.rint((original - predicted) / step).astype(np.int64)
+    # Clamp to the just-out-of-range codes (0 and num_bins, both escaped
+    # below) before the cast: an overflowing float -> int64 cast is undefined.
+    raw = np.clip(np.rint((original - predicted) / step),
+                  -center, num_bins - center).astype(np.int64)
     codes = raw + center
 
     reconstructed = predicted + step * raw

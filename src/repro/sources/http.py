@@ -33,7 +33,7 @@ import re
 import socket
 import time
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 from urllib.parse import urlsplit
 
 from repro.utils.concurrency import install_guards, make_lock
@@ -43,6 +43,41 @@ DEFAULT_TIMEOUT = 30.0
 
 #: Idle keep-alive connections retained per source.
 _MAX_IDLE = 8
+
+T = TypeVar("T")
+
+
+class HttpAddress(NamedTuple):
+    """A parsed ``http(s)://`` URL: the one URL -> connection mapping shared by
+    the range reader, the push/delete client and the federation proxy."""
+
+    url: str
+    https: bool
+    host: str
+    port: int
+    #: Request target of the URL itself: its path (or ``/``) plus ``?query``.
+    target: str
+    #: The path as a mount prefix: ``http://host/prefix`` must produce requests
+    #: against ``/prefix/v1/<key>``, not ``/v1/<key>`` at the root.
+    base: str
+
+    @classmethod
+    def parse(cls, url: str, complaint: str) -> "HttpAddress":
+        """Split ``url``; ``complaint`` is the caller's ``ValueError`` text
+        for anything but ``http(s)://host[:port][/path]``."""
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(complaint)
+        https = parts.scheme == "https"
+        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+        return cls(url, https, parts.hostname,
+                   parts.port or (443 if https else 80), target,
+                   parts.path.rstrip("/"))
+
+    def connect(self, timeout: float) -> HTTPConnection:
+        """A new (not yet connected) connection to this address."""
+        cls = HTTPSConnection if self.https else HTTPConnection
+        return cls(self.host, self.port, timeout=timeout)
 
 
 class HttpSourceError(OSError):
@@ -89,9 +124,40 @@ class RetryPolicy:
     def retryable_status(self, status: int) -> bool:
         return status in self.TRANSIENT_STATUSES
 
+    def run(self, attempt: Callable[[], T], what: str, *,
+            error: Callable[[str], Exception] = OSError,
+            on_retry: Optional[Callable[[], None]] = None) -> T:
+        """Call ``attempt()`` until it returns — the one retry loop.
 
-class _TransientHTTPError(Exception):
-    """Internal marker: this attempt failed in a way worth retrying."""
+        A transient fault (:data:`TRANSIENT_FAULTS`) backs off and tries
+        again, ``on_retry()`` first; :class:`HttpSourceError` and anything
+        else propagate at once.  Out of attempts, raises ``error(f"{what}
+        after {attempts} attempts: {last fault}")`` chained to that fault.
+        """
+        last_fault: Optional[BaseException] = None
+        for n in range(self.attempts):
+            if n:
+                if on_retry is not None:
+                    on_retry()
+                self.backoff(n - 1)
+            try:
+                return attempt()
+            except HttpSourceError:
+                raise  # permanent: retrying cannot help (must precede OSError)
+            except TRANSIENT_FAULTS as exc:
+                last_fault = exc
+        raise error(f"{what} after {self.attempts} attempts: "
+                    f"{last_fault}") from last_fault
+
+
+class TransientHTTPError(Exception):
+    """This attempt failed in a way worth retrying (a 5xx, a short body)."""
+
+
+#: What :meth:`RetryPolicy.run` retries: resets, refusals, timeouts, protocol
+#: garbage from a dying connection, and explicit transient markers.
+TRANSIENT_FAULTS = (TransientHTTPError, HTTPException, ConnectionError,
+                    TimeoutError, socket.timeout, OSError)
 
 
 _CONTENT_RANGE_RE = re.compile(r"^bytes\s+(\d+)-(\d+)/(\d+|\*)$")
@@ -132,18 +198,10 @@ class HttpByteSource:
     def __init__(self, url: str, *, timeout: float = DEFAULT_TIMEOUT,
                  retry: Optional[RetryPolicy] = None,
                  headers: Optional[Dict[str, str]] = None):
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(
-                f"unsupported archive URL {url!r} (need http://host/... or "
-                f"https://host/...)")
+        self._address = HttpAddress.parse(
+            url, f"unsupported archive URL {url!r} (need http://host/... or "
+                 f"https://host/...)")
         self.url = url
-        self._https = parts.scheme == "https"
-        self._host = parts.hostname
-        self._port = parts.port or (443 if self._https else 80)
-        self._target = parts.path or "/"
-        if parts.query:
-            self._target += "?" + parts.query
         self._timeout = float(timeout)
         self._retry = retry if retry is not None else RetryPolicy()
         self._extra_headers = dict(headers or {})
@@ -181,22 +239,15 @@ class HttpByteSource:
         if known is not None and offset >= known:
             return b""  # past EOF, same contract as the local sources
         end = offset + length - 1
-        last_fault: Optional[BaseException] = None
-        for attempt in range(self._retry.attempts):
-            if attempt:
-                with self._lock:
-                    self._retried += 1
-                self._retry.backoff(attempt - 1)
-            try:
-                return self._fetch_range(offset, end)
-            except HttpSourceError:
-                raise  # permanent: retrying cannot help (must precede OSError)
-            except (_TransientHTTPError, HTTPException, ConnectionError,
-                    TimeoutError, socket.timeout, OSError) as exc:
-                last_fault = exc
-        raise HttpSourceError(
-            f"{self.url}: range read bytes={offset}-{end} failed after "
-            f"{self._retry.attempts} attempts: {last_fault}") from last_fault
+
+        def count_retry() -> None:
+            with self._lock:
+                self._retried += 1
+
+        return self._retry.run(
+            lambda: self._fetch_range(offset, end),
+            f"{self.url}: range read bytes={offset}-{end} failed",
+            error=HttpSourceError, on_retry=count_retry)
 
     def read_all(self) -> bytes:
         return self.read_at(0, self.size)
@@ -240,12 +291,12 @@ class HttpByteSource:
             headers = dict(self._extra_headers)
             headers["Range"] = f"bytes={offset}-{end}"
             headers["Accept-Encoding"] = "identity"
-            conn.request("GET", self._target, headers=headers)
+            conn.request("GET", self._address.target, headers=headers)
             resp = conn.getresponse()
             with self._lock:
                 self._range_requests += 1
             if self._retry.retryable_status(resp.status):
-                raise _TransientHTTPError(f"HTTP {resp.status} {resp.reason}")
+                raise TransientHTTPError(f"HTTP {resp.status} {resp.reason}")
             if resp.status == 416:
                 # Requested past EOF: the ``bytes */N`` form still teaches us
                 # the total, and the local-source contract says return b"".
@@ -275,7 +326,7 @@ class HttpByteSource:
             body = resp.read()
             if len(body) != expected:
                 # The connection died (or lied) mid-body; it is unusable.
-                raise _TransientHTTPError(
+                raise TransientHTTPError(
                     f"short body: got {len(body)} of {expected} bytes")
             self._learn(total, resp)
             with self._lock:
@@ -313,8 +364,7 @@ class HttpByteSource:
                 raise ValueError(f"byte source for {self.url} is closed")
             if self._idle:
                 return self._idle.pop()
-        cls = HTTPSConnection if self._https else HTTPConnection
-        return cls(self._host, self._port, timeout=self._timeout)
+        return self._address.connect(self._timeout)
 
     def _checkin(self, conn: HTTPConnection) -> None:
         with self._lock:

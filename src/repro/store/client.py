@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import json
 import math
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.client import HTTPConnection
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote
 
 import numpy as np
 
 from repro.bounds import MODE_REL, as_bound
-from repro.sources.http import RetryPolicy
+from repro.sources.http import HttpAddress, RetryPolicy, TransientHTTPError
 
 #: Upload granularity: whole rows totalling about this many bytes per chunk.
 DEFAULT_CHUNK_BYTES = 1 << 20
@@ -88,23 +88,11 @@ def _streamed_range(arr: np.ndarray, chunk_bytes: int) -> Tuple[float, float]:
 
 
 def _connect(url: str, timeout: float) -> Tuple[HTTPConnection, str]:
-    """Open a connection to ``url`` and return it with the URL's base path.
-
-    The path component is part of the server address (a reverse proxy may
-    mount the store under a prefix): ``http://host/prefix`` must produce
-    requests against ``/prefix/v1/<key>``, not ``/v1/<key>`` at the root.
-    """
-    parts = urlsplit(url)
-    if parts.scheme == "https":
-        conn: HTTPConnection = HTTPSConnection(parts.hostname,
-                                               parts.port or 443,
-                                               timeout=timeout)
-    elif parts.scheme == "http":
-        conn = HTTPConnection(parts.hostname, parts.port or 80,
-                              timeout=timeout)
-    else:
-        raise ValueError(f"unsupported server URL {url!r} (need http/https)")
-    return conn, parts.path.rstrip("/")
+    """A new connection to the server at ``url``, with the URL's base path
+    (a reverse proxy may mount the store under a prefix)."""
+    address = HttpAddress.parse(
+        url, f"unsupported server URL {url!r} (need http/https)")
+    return address.connect(timeout), address.base
 
 
 def _retrying_connect(url: str, timeout: float, retry: RetryPolicy
@@ -116,19 +104,16 @@ def _retrying_connect(url: str, timeout: float, retry: RetryPolicy
     not a single body byte is on the wire — the only place a non-idempotent
     push may retry safely.
     """
-    last_fault: Optional[BaseException] = None
-    for attempt in range(retry.attempts):
-        if attempt:
-            retry.backoff(attempt - 1)
+    def attempt() -> Tuple[HTTPConnection, str]:
         conn, base = _connect(url, timeout)
         try:
             conn.connect()
-            return conn, base
-        except (ConnectionError, TimeoutError, OSError) as exc:
+        except OSError:
             conn.close()
-            last_fault = exc
-    raise OSError(f"cannot connect to {url} after {retry.attempts} "
-                  f"attempts: {last_fault}") from last_fault
+            raise
+        return conn, base
+
+    return retry.run(attempt, f"cannot connect to {url}")
 
 
 def _finish(conn) -> dict:
@@ -213,23 +198,19 @@ def delete_key(url: str, key: str, *, token: Optional[str] = None,
     headers = {}
     if token is not None:
         headers["Authorization"] = f"Bearer {token}"
-    retry = retry if retry is not None else RetryPolicy()
-    last_fault: Optional[BaseException] = None
-    for attempt in range(retry.attempts):
-        if attempt:
-            retry.backoff(attempt - 1)
+    policy = retry if retry is not None else RetryPolicy()
+
+    def attempt() -> dict:
         conn, base = _connect(url, timeout)
         try:
             conn.request("DELETE", f"{base}/v1/{quote(key, safe='')}",
                          headers=headers)
             return _finish(conn)
         except PushError as exc:
-            if not retry.retryable_status(exc.status):
-                raise
-            last_fault = exc
-        except (HTTPException, ConnectionError, TimeoutError, OSError) as exc:
-            last_fault = exc
+            if policy.retryable_status(exc.status):
+                raise TransientHTTPError(str(exc)) from exc
+            raise
         finally:
             conn.close()
-    raise OSError(f"DELETE {url}/v1/{key} failed after {retry.attempts} "
-                  f"attempts: {last_fault}") from last_fault
+
+    return policy.run(attempt, f"DELETE {url}/v1/{key} failed")

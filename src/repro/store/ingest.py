@@ -416,13 +416,9 @@ class IngestManager:
         try:
             with open_reader(os.fspath(path)) as reader:
                 index = load_index(reader)
-                offsets = getattr(index, "offsets", None)
-                if offsets is not None:
-                    n = len(offsets)
-                    for i in sorted({0, n // 2, n - 1}):
-                        raw = reader.read_at(index.data_start + index.offsets[i],
-                                             index.lengths[i])
-                        index.check_tile(i, raw)
+                n = index.n_tiles
+                for i in sorted({0, n // 2, n - 1}):
+                    index.tile_archive(i, reader.read_at)
         except (OSError, ValueError) as exc:
             raise IngestVerifyError(
                 f"staged archive failed verification: {exc}") from exc

@@ -85,16 +85,17 @@ import json
 import math
 import re
 import time
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.client import HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple,
                     Union)
-from urllib.parse import parse_qs, unquote, urlparse, urlsplit
+from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
 
 from repro.api import DEFAULT_CHUNK_ELEMS
 from repro.bounds import ErrorBound, MODES
+from repro.sources.http import HttpAddress, RetryPolicy
 from repro.store.ingest import (
     IngestConflictError,
     IngestManager,
@@ -279,8 +280,8 @@ class StoreApp:
     PROXY_HEADERS = ("Content-Type", "ETag", "Accept-Ranges", "Content-Range",
                      "X-Repro-Shape", "X-Repro-Dtype", "X-Repro-Header",
                      "X-Repro-Generation", "X-Repro-Count")
-    #: Connection attempts per peer before moving to the next one.
-    PROXY_ATTEMPTS = 2
+    #: Two immediate attempts per peer before moving to the next one.
+    PROXY_RETRY = RetryPolicy(2, base_delay=0.0)
 
     def __init__(self, store: ArchiveStore, *,
                  ingest: Optional[IngestManager] = None,
@@ -298,14 +299,10 @@ class StoreApp:
         self._proxy_errors = 0  # guarded by: self._proxy_lock
 
     @staticmethod
-    def _parse_peer(url: str) -> Tuple[str, str, int, str, str]:
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(
-                f"invalid peer URL {url!r} (need "
-                f"http(s)://host[:port][/prefix])")
-        port = parts.port or (443 if parts.scheme == "https" else 80)
-        return parts.scheme, parts.hostname, port, parts.path.rstrip("/"), url
+    def _parse_peer(url: str) -> HttpAddress:
+        return HttpAddress.parse(
+            url, f"invalid peer URL {url!r} (need "
+                 f"http(s)://host[:port][/prefix])")
 
     # ------------------------------------------------------------ entry point
     def handle(self, request: Request) -> Response:
@@ -373,7 +370,7 @@ class StoreApp:
     def _federation_stats(self) -> dict:
         with self._proxy_lock:
             proxied, errors = self._proxied, self._proxy_errors
-        return {"peers": [peer[4] for peer in self._peers],
+        return {"peers": [peer.url for peer in self._peers],
                 "proxied": proxied, "proxy_errors": errors}
 
     def _info(self, request: Request, key: str) -> Response:
@@ -397,16 +394,9 @@ class StoreApp:
             "bound": {"mode": index.bound_mode, "value": index.bound_value},
             "version": index.version,
             "generation": info.generation,
+            "n_tiles": index.n_tiles,
+            **index.layout(),
         }
-        if hasattr(index, "grid_shape"):  # v3 N-d grid
-            doc["chunk_shape"] = list(index.chunk_shape)
-            doc["grid_shape"] = list(index.grid_shape)
-            doc["n_tiles"] = index.n_tiles
-        elif hasattr(index, "n_chunks"):  # v2 axis-0 slabs
-            doc["axis"] = index.axis
-            doc["n_tiles"] = index.n_chunks
-        else:
-            doc["n_tiles"] = 1
         return self._json(200, doc, extra=self._entity_headers(info))
 
     def _region(self, request: Request, key: str, query: dict) -> Response:
@@ -534,14 +524,12 @@ class StoreApp:
             return response
         return None
 
-    def _proxy_one(self, peer: Tuple[str, str, int, str, str], target: str,
+    def _proxy_one(self, peer: HttpAddress, target: str,
                    headers: Dict[str, str]) -> Optional[Response]:
-        scheme, host, port, base, _url = peer
-        conn_cls = HTTPSConnection if scheme == "https" else HTTPConnection
-        for _attempt in range(self.PROXY_ATTEMPTS):
-            conn = conn_cls(host, port, timeout=self._proxy_timeout)
+        def attempt() -> Response:
+            conn = peer.connect(self._proxy_timeout)
             try:
-                conn.request("GET", base + target, headers=headers)
+                conn.request("GET", peer.base + target, headers=headers)
                 resp = conn.getresponse()
                 body = resp.read()
                 out_headers = {}
@@ -550,12 +538,17 @@ class StoreApp:
                     if value is not None:
                         out_headers[name] = value
                 return Response(resp.status, body, headers=out_headers)
-            except (HTTPException, ConnectionError, TimeoutError, OSError):
+            except (HTTPException, OSError):
                 with self._proxy_lock:
                     self._proxy_errors += 1
+                raise
             finally:
                 conn.close()
-        return None
+
+        try:
+            return self.PROXY_RETRY.run(attempt, f"proxy to {peer.url} failed")
+        except OSError:
+            return None  # this peer is down: the caller moves to the next
 
     def _regions(self, request: Request, key: str) -> Response:
         """Batched region reads: JSON spec list in, concatenated bytes out."""

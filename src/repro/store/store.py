@@ -23,30 +23,23 @@ from __future__ import annotations
 
 import hashlib
 import os
-import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.api import (
-    _decompress_parsed,
-    _store_chunk,
-    decode_tile,
+    _decode_parsed_tile,
+    _gather,
+    _place,
     load_index,
     normalize_region,
     parse_region,
-    tile_crop,
 )
 from repro.encoding.container import Archive, ChunkedIndex, GridIndex
 from repro.registry import compressor_spec
-from repro.sources.base import (
-    BytesByteSource,
-    FileByteSource,
-    is_byte_source,
-    is_url,
-)
+from repro.sources.base import open_source
 from repro.sources.spill import DEFAULT_SPILL_BYTES, CachingByteSource
 from repro.store.cache import DEFAULT_CACHE_BYTES, TileCache
 from repro.utils.concurrency import install_guards, make_lock
@@ -86,18 +79,12 @@ class ReadInfo(NamedTuple):
 # Concurrency-safe random-access handles
 # ---------------------------------------------------------------------------
 
-# The positional-read file handle moved to :mod:`repro.sources.base` (one
-# shared short-read loop for both the store and the facade); the old private
-# name survives for anything that grew up on it.
-_PReadHandle = FileByteSource
-
-
 def _content_etag(index: IndexType) -> str:
     """A strong entity tag derived from the archive's content tokens.
 
-    Chunked/grid archives hash their per-tile identity (offsets, lengths,
-    CRC-32s) plus the envelope fields; single-shot v1 archives hash the
-    payload CRC directly.  Two archives with identical bytes get identical
+    Hashes the envelope fields plus the index's ``content_identity()`` (every
+    tile's offset/length/CRC-32; for a single-shot archive the payload's
+    length and CRC-32).  Two archives with identical bytes get identical
     tags, and any tile-level change flips some CRC and therefore the tag —
     exactly the conditional-GET contract, with no extra I/O at add time.
     """
@@ -105,12 +92,7 @@ def _content_etag(index: IndexType) -> str:
     h.update(repr((type(index).__name__, index.version, index.codec,
                    tuple(index.shape), str(index.dtype), index.bound_mode,
                    float(index.bound_value))).encode())
-    if isinstance(index, Archive):  # v1: one payload is the whole content
-        payload = index.payload
-        h.update(repr((len(payload), zlib.crc32(payload))).encode())
-    else:
-        h.update(repr((tuple(index.offsets), tuple(index.lengths),
-                       tuple(index.crcs))).encode())
+    h.update(repr(index.content_identity()).encode())
     return f'"{h.hexdigest()}"'
 
 
@@ -186,26 +168,6 @@ class _Entry:
             self.handle.close()
             if on_close is not None:
                 on_close()
-
-    @property
-    def is_v1(self) -> bool:
-        return isinstance(self.index, Archive)
-
-    def region_tiles(self, bounds) -> List[int]:
-        if self.is_v1:
-            # A single-shot archive is one logical tile covering the field.
-            return [] if any(b0 >= b1 for b0, b1 in bounds) else [0]
-        return self.index.region_tiles(bounds)
-
-    def tile_slices(self, i: int) -> Tuple[slice, ...]:
-        if self.is_v1:
-            return tuple(slice(0, d) for d in self.index.shape)
-        return self.index.tile_slices(i)
-
-    def cache_key(self, i: int):
-        if self.is_v1:
-            return (self.token, 0)
-        return (self.token,) + self.index.tile_key(i)
 
 
 class ArchiveStore:
@@ -317,38 +279,20 @@ class ArchiveStore:
     def _open_handle(self, source: SourceType):
         """A thread-safe random-access handle for any accepted source kind.
 
-        In-memory sources get lock-free slices, files positional ``pread``,
-        ``http(s)://`` URLs a range-GET :class:`HttpByteSource` — wrapped in
-        the disk spill cache when the store was built with ``spill_dir``.
-        An already-open byte source is adopted as-is (the store owns it from
-        here: it closes when the entry retires).
+        :func:`repro.sources.open_source` picks the reader; an already-open
+        byte source is adopted as-is (the store owns it from here: it closes
+        when the entry retires).  A remote source, caller-built or not, is
+        wrapped in the disk spill cache when the store was built with
+        ``spill_dir``, so tuning retry/timeout never silently opts out of it.
         """
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            return BytesByteSource(source)
-        if is_url(source):
+        handle = open_source(source)
+        if self._spill_dir is not None:
             from repro.sources.http import HttpByteSource
 
-            handle = HttpByteSource(source)
-            if self._spill_dir is not None:
+            if isinstance(handle, HttpByteSource):
                 return CachingByteSource(handle, self._spill_dir,
                                          max_bytes=self._spill_bytes)
-            return handle
-        if isinstance(source, (str, os.PathLike)):
-            return FileByteSource(source)
-        if is_byte_source(source):
-            # Adopted as-is (the store owns it from here) — except that a
-            # caller-built remote source still earns the spill cache, so
-            # tuning retry/timeout never silently opts out of it.
-            if self._spill_dir is not None:
-                from repro.sources.http import HttpByteSource
-
-                if isinstance(source, HttpByteSource):
-                    return CachingByteSource(source, self._spill_dir,
-                                             max_bytes=self._spill_bytes)
-            return source
-        raise TypeError(
-            f"source must be archive bytes or a path to an archive file, an "
-            f"http(s):// URL, or a ByteSource, got {type(source)!r}")
+        return handle
 
     def _build_entry(self, key: str, source: SourceType, model, autoencoder,
                      codec_options) -> _Entry:
@@ -489,6 +433,7 @@ class ArchiveStore:
                                         entry.etag, ())
         finally:
             entry.unpin()
+
     def read_region(self, key: str, region, *,
                     out: Optional[np.ndarray] = None,
                     decode_workers: int = 1) -> np.ndarray:
@@ -526,7 +471,9 @@ class ArchiveStore:
             bounds = self._bounds(entry, region)
             with self._stats_lock:
                 self._region_reads += 1
-            arr = self._gather(entry, bounds, out, decode_workers)
+            tiles = self._tiles(entry, entry.index.region_tiles(bounds),
+                                decode_workers)
+            arr = _gather(entry.index, bounds, tiles, out)
             return arr, ReadInfo(entry.index, entry.generation, entry.etag,
                                  bounds)
         finally:
@@ -565,19 +512,14 @@ class ArchiveStore:
             # so tiles are visited in row-major order: sequential cold I/O).
             wanted: Dict[int, List[int]] = {}
             for j, bounds in enumerate(bounds_list):
-                for i in entry.region_tiles(bounds):
+                for i in entry.index.region_tiles(bounds):
                     wanted.setdefault(i, []).append(j)
-            prefetched = self._prefetch_tiles(entry, list(wanted),
-                                              decode_workers)
-            for i, readers in wanted.items():
-                tile = (prefetched[i] if prefetched is not None
-                        else self._tile(entry, i))
-                for j in readers:
-                    results[j] = self._place(results[j], bounds_list[j],
-                                             entry, i, tile)
-            arrays = [r if r is not None
-                      else np.empty(tuple(b1 - b0 for b0, b1 in bounds),
-                                    dtype=np.dtype(entry.index.dtype))
+            for i, tile in self._tiles(entry, list(wanted), decode_workers):
+                for j in wanted[i]:
+                    results[j] = _place(results[j], bounds_list[j],
+                                        entry.index, i, tile)
+            # A region no tile intersects is empty: gather of nothing.
+            arrays = [r if r is not None else _gather(entry.index, bounds, ())
                       for r, bounds in zip(results, bounds_list)]
             infos = [ReadInfo(entry.index, entry.generation, entry.etag,
                               bounds) for bounds in bounds_list]
@@ -611,8 +553,6 @@ class ArchiveStore:
             if isinstance(region, str):
                 region = parse_region(region)
             return normalize_region(region, entry.index.shape)
-        except RegionSpecError:
-            raise
         except ValueError as exc:
             raise RegionSpecError(str(exc)) from None
 
@@ -622,92 +562,43 @@ class ArchiveStore:
         def load() -> np.ndarray:
             with self._stats_lock:
                 self._tile_decodes += 1
-            if entry.is_v1:
-                recon = _decompress_parsed(entry.index, **entry.decode_opts)
-                return np.asarray(recon)
             index = entry.index
-            raw = entry.handle.read_at(index.data_start + index.offsets[i],
-                                       index.lengths[i])
-            raw = index.check_tile(i, raw)
-            return decode_tile(index, i, raw, **entry.decode_opts)
+            return _decode_parsed_tile(
+                i, index.tile_archive(i, entry.handle.read_at),
+                index.tile_shape(i), **entry.decode_opts)
 
-        return self._cache.get_or_load(entry.cache_key(i), load)
+        return self._cache.get_or_load(
+            (entry.token,) + entry.index.tile_key(i), load)
 
-    @staticmethod
-    def _place(result: Optional[np.ndarray], bounds, entry: _Entry, i: int,
-               tile: np.ndarray) -> np.ndarray:
-        """Crop ``tile`` to ``bounds`` and write it into ``result`` (grown lazily)."""
-        local, inner = tile_crop(bounds, entry.tile_slices(i))
-        piece = tile[inner]
-        if result is None:
-            region_shape = tuple(b1 - b0 for b0, b1 in bounds)
-            result = np.empty(region_shape, dtype=piece.dtype)
-        elif piece.dtype.itemsize > result.dtype.itemsize:
-            # A later tile could not be restored narrow; widen what is
-            # already written (exact float upcast) and continue.
-            result = result.astype(piece.dtype)
-        result[local] = piece
-        return result
+    def _tiles(self, entry: _Entry, tile_ids: Sequence[int],
+               decode_workers: int) -> Iterable[Tuple[int, np.ndarray]]:
+        """``(tile id, decoded tile)`` for ``tile_ids``, in order — where the
+        store's decoded tiles come from: the shared single-flight cache.
 
-    def _prefetch_tiles(self, entry: _Entry, tile_ids: Sequence[int],
-                        decode_workers: int) -> Optional[Dict[int, np.ndarray]]:
-        """Decode ``tile_ids`` concurrently through the shared cache.
-
-        Returns ``None`` on the serial path (``decode_workers == 1`` or fewer
-        than two tiles), leaving the caller's inline ``_tile`` loop — the
-        pre-``decode_workers`` code path — untouched.  Otherwise every tile
-        goes through exactly one :meth:`_tile` call on a bounded pool: the
-        same cache traffic, single-flight coalescing and ``tile_decodes``
+        Serially (``decode_workers == 1`` or fewer than two tiles) each tile
+        is fetched as the gather loop asks for it.  Otherwise every tile goes
+        through exactly one :meth:`_tile` call on a bounded thread pool first:
+        the same cache traffic, single-flight coalescing and ``tile_decodes``
         accounting as the serial loop, overlapped because zlib and NumPy
         release the GIL during decode.  Placement stays serial in the caller
-        (it is order-dependent: a wide tile may widen the result dtype).  If
-        any tile fails, the earliest failing tile in ``tile_ids`` order
-        raises — the exception the serial loop would have surfaced.
+        (a wide tile may widen the result dtype), and the earliest failing
+        tile in ``tile_ids`` order raises, as in the serial loop.
         """
         decode_workers = int(decode_workers)
         if decode_workers < 1:
             raise ValueError("decode_workers must be >= 1")
-        if decode_workers == 1 or len(tile_ids) <= 1:
-            return None
-        results: Dict[int, np.ndarray] = {}
-        failures: Dict[int, BaseException] = {}
-        with ThreadPoolExecutor(
-                max_workers=min(decode_workers, len(tile_ids)),
-                thread_name_prefix="repro-tile-decode") as pool:
-            futures = [(i, pool.submit(self._tile, entry, i))
-                       for i in tile_ids]
-            for i, fut in futures:
-                try:
-                    results[i] = fut.result()
-                except BaseException as exc:  # re-raised below, in tile order
-                    failures[i] = exc
-        for i in tile_ids:
-            if i in failures:
-                raise failures[i]
-        return results
 
-    def _gather(self, entry: _Entry, bounds,
-                out: Optional[np.ndarray],
-                decode_workers: int = 1) -> np.ndarray:
-        region_shape = tuple(b1 - b0 for b0, b1 in bounds)
-        if out is not None and tuple(out.shape) != region_shape:
-            raise ValueError(
-                f"out has shape {tuple(out.shape)}, region shape is "
-                f"{region_shape}")
-        result = out
-        tiles = entry.region_tiles(bounds)
-        prefetched = self._prefetch_tiles(entry, tiles, decode_workers)
-        for i in tiles:
-            tile = prefetched[i] if prefetched is not None else self._tile(entry, i)
-            if out is not None:
-                local, inner = tile_crop(bounds, entry.tile_slices(i))
-                _store_chunk(out, local, tile[inner])
-                continue
-            result = self._place(result, bounds, entry, i, tile)
-        if result is None:
-            # Empty region (nothing decoded): exact shape, header dtype.
-            result = np.empty(region_shape, dtype=np.dtype(entry.index.dtype))
-        return result
+        def pooled():
+            with ThreadPoolExecutor(
+                    max_workers=min(decode_workers, len(tile_ids)),
+                    thread_name_prefix="repro-tile-decode") as pool:
+                futures = [pool.submit(self._tile, entry, i) for i in tile_ids]
+            # The pool has drained; result() re-raises in tile order.
+            yield from zip(tile_ids, [fut.result() for fut in futures])
+
+        if decode_workers == 1 or len(tile_ids) <= 1:
+            return ((i, self._tile(entry, i)) for i in tile_ids)
+        return pooled()
 
 
 install_guards(_Entry, "_pin_lock", ("_pins", "_retired", "_on_close"))

@@ -120,7 +120,7 @@ def main() -> int:
         "embed_model": True,
     })
     print(f"chunked_sz21_rel: {len(blob)} bytes "
-          f"({repro.read_header(blob).n_chunks} chunks)")
+          f"({repro.read_header(blob).n_tiles} chunks)")
 
     # Grid (version-3) goldens: a 2x2x2 tile grid over the 3-d input, so the
     # random-access region-decode path has a pinned byte layout too — one per

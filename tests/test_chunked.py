@@ -21,7 +21,6 @@ from repro.encoding.container import (
     archive_version,
     build_chunked_archive,
     is_archive,
-    is_chunked_archive,
 )
 from repro.utils.parallel import parallel_imap
 
@@ -67,8 +66,7 @@ class TestChunkedContainer:
         single = repro.compress(field, codec="sz21", bound=Rel(EB))
         assert archive_version(single) == 1
         assert archive_version(serial_blob) == 2
-        assert is_archive(serial_blob) and is_chunked_archive(serial_blob)
-        assert not is_chunked_archive(single)
+        assert is_archive(serial_blob) and is_archive(single)
         with pytest.raises(ValueError, match="chunked"):
             Archive.from_bytes(serial_blob)
         with pytest.raises(ValueError, match="not a chunked archive"):
@@ -78,10 +76,10 @@ class TestChunkedContainer:
         index = ChunkedIndex.from_bytes(serial_blob)
         assert index.codec == "sz21"
         assert index.shape == field.shape
-        assert index.n_chunks == 5  # 96 rows, 20 rows (800 elems) per chunk
+        assert index.n_tiles == 5  # 96 rows, 20 rows (800 elems) per chunk
         assert index.starts[0] == 0 and index.starts[-1] == field.shape[0]
-        assert index.chunk_shape(0) == (20, 40)
-        assert index.chunk_shape(4) == (16, 40)
+        assert index.tile_shape(0) == (20, 40)
+        assert index.tile_shape(4) == (16, 40)
         # bound record is the *user's* request; chunks carry the derived Abs
         assert index.bound_mode == "rel" and index.bound_value == EB
         assert "chunked" in index.meta
@@ -89,12 +87,12 @@ class TestChunkedContainer:
     def test_chunks_decode_independently_and_out_of_order(self, field, serial_blob):
         index = ChunkedIndex.from_bytes(serial_blob)
         vrange = float(field.max() - field.min())
-        for i in reversed(range(index.n_chunks)):
-            chunk_blob = index.chunk_bytes(serial_blob, i)
+        for i in reversed(range(index.n_tiles)):
+            chunk_blob = index.tile_bytes(serial_blob, i)
             archive = Archive.from_bytes(chunk_blob)
             assert archive.bound_mode == "abs"  # global range pass, per-chunk Abs
             recon = repro.decompress(chunk_blob)
-            slab = field[index.chunk_slice(i)]
+            slab = field[index.tile_slices(i)]
             assert recon.shape == slab.shape
             assert float(np.max(np.abs(slab - recon))) <= EB * vrange
 

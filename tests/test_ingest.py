@@ -237,8 +237,15 @@ class TestIngestManager:
         assert err <= 1e-3 * (arr.max() - arr.min()) + 1e-12
 
     def test_replace_bumps_generation_and_unlinks_old(self, manager):
+        region = (slice(2, 9), slice(0, 5))
         e1 = _ingest(manager, "temp", _field(seed=1))
+        before = manager.store.read_region("temp", region)
         e2 = _ingest(manager, "temp", _field(seed=2))
+        # Reads after the replace serve the new archive, never the old field.
+        after = manager.store.read_region("temp", region)
+        assert np.array_equal(
+            after, repro.read_region(manager.root / e2.path, region))
+        assert not np.array_equal(after, before)
         assert e2.generation == 2 and e2.created == e1.created
         assert e2.replaced is not None and e2.path != e1.path
         # No reader held the old archive, so its file is already gone.

@@ -284,6 +284,38 @@ class TestRegistryCompleteness:
 
 
 # ---------------------------------------------------------------------------
+# RPR008 — the envelope-version decision stays behind container.py
+# ---------------------------------------------------------------------------
+
+STORE_PATH = "src/repro/store/fake.py"
+
+
+class TestEnvelopeProbing:
+    @pytest.mark.parametrize("probe", [
+        "isinstance(entry.index, Archive)",
+        "isinstance(x, (GridIndex, container.Archive))",
+        "hasattr(header, 'grid_shape')",
+        "getattr(self.index, 'offsets', None)",
+    ])
+    def test_probes_are_flagged(self, probe):
+        source = f"def f(self, entry, header, x):\n    return {probe}\n"
+        diag = one(lint_source(source, STORE_PATH), "RPR008")
+        assert diag.line == 2 and "container.py" in diag.message
+
+    def test_protocol_use_and_other_probes_pass(self):
+        source = textwrap.dedent("""
+            def f(index, handle, name):
+                stats = getattr(handle, "stats", None)
+                return index.n_tiles, getattr(index, name), isinstance(index, GridIndex)
+        """)
+        assert lint_source(source, STORE_PATH) == []
+
+    def test_container_module_is_exempt(self):
+        source = "def f(x):\n    return isinstance(x, Archive)\n"
+        assert lint_source(source, "src/repro/encoding/container.py") == []
+
+
+# ---------------------------------------------------------------------------
 # RPR006 — import hygiene (project rule, needs a real tree)
 # ---------------------------------------------------------------------------
 
@@ -420,7 +452,7 @@ class TestRunner:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                     "RPR006", "RPR007"):
+                     "RPR006", "RPR007", "RPR008"):
             assert code in out
 
 

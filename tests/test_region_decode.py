@@ -23,6 +23,7 @@ from repro.api import (
     read_region,
 )
 from repro.cli import main as cli_main
+from repro.sources import FileByteSource
 from repro.data.loader import create_f32, load_f32, save_f32
 from repro.encoding.container import (
     Archive,
@@ -59,13 +60,13 @@ def full_recon(grid_blob):
 def decode_counter(monkeypatch):
     """Count v1 tile decodes inside the facade (serial paths)."""
     calls = []
-    real = api._decompress_archive
+    real = api._decompress_parsed
 
-    def counting(blob, **kwargs):
-        calls.append(len(blob))
-        return real(blob, **kwargs)
+    def counting(archive, **kwargs):
+        calls.append(len(archive.payload))
+        return real(archive, **kwargs)
 
-    monkeypatch.setattr(api, "_decompress_archive", counting)
+    monkeypatch.setattr(api, "_decompress_parsed", counting)
     return calls
 
 
@@ -252,16 +253,18 @@ class TestReadRegion:
         path = tmp_path / "grid.rpra"
         path.write_bytes(grid_blob)
         index = GridIndex.from_bytes(grid_blob)
-        reader = api._FileReader(str(path))
+        reader = FileByteSource(str(path))
         with reader:
-            loaded = api._load_index(reader)
+            loaded = api.load_index(reader)
             header_bytes = reader.bytes_read
             assert isinstance(loaded, GridIndex)
         region = (slice(0, 16), slice(0, 16), slice(0, 8))
-        piece = read_region(str(path), region)
+        counted = FileByteSource(str(path))
+        piece = read_region(counted, region)
         assert np.array_equal(piece, full_recon[region])
-        # The one intersecting tile + the front header bound the I/O.
+        # The one intersecting tile + the front header are the whole I/O.
         expected_io = header_bytes + index.lengths[0]
+        assert counted.bytes_read == expected_io
         assert expected_io < len(grid_blob) // 3  # genuinely sub-linear
 
     def test_workers_match_serial(self, grid_blob, full_recon):
@@ -286,7 +289,7 @@ class TestReadRegion:
         blob = compress_chunked(field, codec="sz21", bound=Rel(EB),
                                 chunk_size=2000)  # axis-0 slabs
         index = ChunkedIndex.from_bytes(blob)
-        assert index.n_chunks > 3
+        assert index.n_tiles > 3
         full = repro.decompress(blob)
         decode_counter.clear()
         piece = read_region(blob, (slice(0, 3), slice(5, 20), slice(3, 12)))

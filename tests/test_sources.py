@@ -224,10 +224,10 @@ class TestLocalSources:
         assert not is_url("/data/http/file.rpra") and not is_url(b"http://")
 
     def test_file_reader_has_close(self, tmp_path, grid_blob):
-        """Regression: api._FileReader leaked handles for non-with callers."""
+        """Regression: the file reader leaked handles for non-with callers."""
         path = tmp_path / "a.rpra"
         path.write_bytes(grid_blob)
-        reader = api._FileReader(str(path))
+        reader = FileByteSource(str(path))
         assert reader.read_at(0, 4) == grid_blob[:4]
         reader.close()
         reader.close()  # idempotent

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.encoding import container
 from repro.store import ArchiveStore, TileCache
 
 CODEC = "szinterp"
@@ -188,13 +189,13 @@ class TestArchiveStore:
 
     def test_header_parsed_once_per_add(self, grid_path, monkeypatch):
         parses = []
-        real = api.parse_front
+        real = container.parse_front
 
         def counting(front):
             parses.append(1)
             return real(front)
 
-        monkeypatch.setattr(api, "parse_front", counting)
+        monkeypatch.setattr(container, "parse_front", counting)
         with ArchiveStore() as store:
             store.add("g", grid_path)
             assert len(parses) == 1

@@ -35,6 +35,10 @@ from repro.predictors.interpolation import (
 from repro.predictors.lorenzo import lorenzo_predict
 from repro.quantization.linear import UNPREDICTABLE_CODE
 
+# The extreme-range cases once overflowed a float -> int64 cast in the
+# quantizer (rescued only by the later bound check); keep it an error.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
