@@ -20,7 +20,7 @@ import pytest
 from benchmarks.common import bench_shape, model_cache, report_table, run_once, held_out_snapshot
 from repro.analysis import ascii_histogram
 from repro.core.blocking import split_into_blocks
-from repro.core.aesz import _batched_lorenzo_predict
+from repro.predictors.lorenzo import _batched_lorenzo_predict
 from repro.predictors import LinearRegressionPredictor
 from repro.quantization.uniform import UniformQuantizer
 from repro.utils.validation import value_range

@@ -22,8 +22,6 @@ SECTION_TITLES = {
     "table2_block_sizes": "Table II — block-size study",
     "table3_latent_sizes": "Table III — latent-size study",
     "table4_latent_codec": "Table IV — customized latent codec vs SZ2.1",
-    "table8_speed": "Table VIII — compression/decompression speed",
-    "table9_training_time": "Table IX — autoencoder training time",
     "fig1_ae_reconstruction": "Fig. 1 — unbounded AE reconstruction",
     "fig6_latent_rd": "Fig. 6 — prediction PSNR vs latent compression",
     "fig7_error_distribution": "Fig. 7 — prediction error distributions",

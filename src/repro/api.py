@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import ArrayLike, DTypeLike
 
 from repro.bounds import MODE_PTW_REL, MODE_REL, Abs, ErrorBound, as_bound
-from repro.compressors.base import CompressorResult
+from repro.compressors.base import CompressorResult, _absolute_bound
 from repro.core.aesz import output_dtype_and_bound
 from repro.encoding.container import (
     Archive,
@@ -92,7 +92,7 @@ def _cast_plan(data: np.ndarray, eff_rel: float, spec) -> tuple:
         return eff_rel, None
     data64 = np.asarray(data, dtype=np.float64)
     vr = value_range(data64)
-    abs_eb = eff_rel * vr if vr > 0 else eff_rel
+    abs_eb = _absolute_bound(eff_rel, vr)
     out_dtype, abs_tight = output_dtype_and_bound(data64, abs_eb, in_dtype)
     if out_dtype.itemsize >= 8:
         return eff_rel, None
@@ -368,11 +368,21 @@ def _rechunk_blocks(blocks, chunk_elems: int, info: dict):
 
 
 def _range_pass(arr: np.ndarray, chunk_elems: int) -> Tuple[float, float]:
-    """Streaming global min/max over slabs (no whole-array float64 copy)."""
+    """Streaming global min/max over slabs (no whole-array float64 copy).
+
+    A slab holding NaN/Inf ends the pass with that slab's non-finite bounds:
+    ``min(inf, nan)`` keeps its first argument, so a NaN would otherwise
+    vanish into the running bounds and surface only after chunks had been
+    compressed (or, for a push, streamed).  An empty source gives
+    ``(inf, -inf)``.
+    """
     lo, hi = np.inf, -np.inf
     for _, _, slab in _slab_chunks(arr, chunk_elems):
-        lo = min(lo, float(np.min(slab)))
-        hi = max(hi, float(np.max(slab)))
+        slab_lo, slab_hi = float(np.min(slab)), float(np.max(slab))
+        if not (np.isfinite(slab_lo) and np.isfinite(slab_hi)):
+            return slab_lo, slab_hi
+        lo = min(lo, slab_lo)
+        hi = max(hi, slab_hi)
     return lo, hi
 
 
@@ -515,8 +525,7 @@ def compress_chunked(source: Union[ArrayLike, str, os.PathLike,
                 f"data range [{lo}, {hi}] is not finite; error-bounded "
                 f"compression is undefined on NaN/Inf fields"
             )
-        vrange = hi - lo
-        abs_eb = bound.value * vrange if vrange > 0 else bound.value
+        abs_eb = _absolute_bound(bound.value, hi - lo)
         chunk_bound: ErrorBound = Abs(abs_eb)
         meta["chunked"] = {"data_range": [lo, hi], "abs_bound": abs_eb}
     else:

@@ -86,6 +86,14 @@ def _add_dims(parser: argparse.ArgumentParser, required: bool = True) -> None:
                                 " when given, used as a cross-check)"))
 
 
+def _add_ae_flags(parser: argparse.ArgumentParser) -> None:
+    """The autoencoder architecture flags ``_ae_config_from_args`` reads."""
+    parser.add_argument("--block-size", type=int, default=32)
+    parser.add_argument("--latent-size", type=int, default=16)
+    parser.add_argument("--channels", type=int, nargs="+", default=[4, 8])
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _ae_config_from_args(args: argparse.Namespace) -> AutoencoderConfig:
     return AutoencoderConfig(ndim=len(args.dims), block_size=args.block_size,
                              latent_size=args.latent_size,
@@ -126,14 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dims(train)
     train.add_argument("snapshots", nargs="+", help="raw float32 snapshot files")
     train.add_argument("--model", required=True, help="output .npz model path")
-    train.add_argument("--block-size", type=int, default=32)
-    train.add_argument("--latent-size", type=int, default=16)
-    train.add_argument("--channels", type=int, nargs="+", default=[4, 8])
+    _add_ae_flags(train)
     train.add_argument("--epochs", type=int, default=10)
     train.add_argument("--batch-size", type=int, default=32)
     train.add_argument("--learning-rate", type=float, default=2e-3)
     train.add_argument("--max-blocks", type=int, default=1024)
-    train.add_argument("--seed", type=int, default=0)
 
     # --------------------------------------------------------------- compress
     comp = sub.add_parser("compress", help="compress a raw float32 field into an archive")
@@ -150,10 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--embed-model", action="store_true",
                       help="store model weights inside the archive so decompression "
                            "needs no --model")
-    comp.add_argument("--block-size", type=int, default=32)
-    comp.add_argument("--latent-size", type=int, default=16)
-    comp.add_argument("--channels", type=int, nargs="+", default=[4, 8])
-    comp.add_argument("--seed", type=int, default=0)
+    _add_ae_flags(comp)
     comp.add_argument("--chunk-size", type=int, default=0, metavar="ELEMS",
                       help="compress in independent row-slab chunks of ~ELEMS elements "
                            "(streamed from a memory-mapped input, so fields larger than "
@@ -177,10 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="only needed for legacy raw payloads (pre-archive format, "
                           "default aesz); for archives, a cross-check against the header")
     dec.add_argument("--model", help=".npz model (aesz archives without an embedded model)")
-    dec.add_argument("--block-size", type=int, default=32)
-    dec.add_argument("--latent-size", type=int, default=16)
-    dec.add_argument("--channels", type=int, nargs="+", default=[4, 8])
-    dec.add_argument("--seed", type=int, default=0)
+    _add_ae_flags(dec)
     dec.add_argument("--workers", type=int, default=1,
                      help="process-pool workers for decoding chunked archives "
                           "(single-shot archives decode in-process)")
@@ -210,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="archives to serve, each KEY=PATH or KEY=URL (KEY "
                           "becomes the /v1/KEY/... URL segment) or a bare "
                           "PATH/URL (key = file stem); http(s):// sources "
-                          "are read remotely via range requests; optional "
-                          "when --root is given")
+                          "are read remotely via range requests (another "
+                          "node's key is http://NODE/v1/KEY/archive); "
+                          "optional when --root is given")
     srv.add_argument("--root", metavar="DIR",
                      help="store root directory: keys are replayed from its "
                           "durable manifest at startup and (with --writable) "
@@ -253,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--workers", type=int, default=0, metavar="N",
                      help="selectors front end only: decode worker threads "
                           "(default 0 = pick from the CPU count)")
-    srv.add_argument("--peer", action="append", default=[], metavar="URL",
-                     help="federation: forward GET lookups for unknown keys "
-                          "to this peer node (repeatable, tried in order)")
     srv.add_argument("--spill-dir", metavar="DIR",
                      help="spill byte ranges fetched from http(s) archive "
                           "sources to this directory (read-through disk "
@@ -264,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="byte budget for --spill-dir in MB (default 1024; "
                           "LRU-evicted beyond it)")
     srv.add_argument("--verbose", action="store_true",
-                     help="log one line per request to stderr")
+                     help="log one line per request to stderr "
+                          "(method target status bytes ms)")
 
     # ------------------------------------------------------------------- push
     push = sub.add_parser("push",
@@ -468,9 +466,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.auth_token and not args.root:
         raise SystemExit("--auth-token needs --root DIR (tokens persist in "
                          "the root's manifest)")
-    if not args.archives and not args.root and not args.peer:
-        raise SystemExit("nothing to serve: pass KEY=PATH archives, "
-                         "--root DIR and/or --peer URL")
+    if not args.archives and not args.root:
+        raise SystemExit("nothing to serve: pass KEY=PATH archives and/or "
+                         "--root DIR")
     store = ArchiveStore(cache_bytes=int(args.cache_mb * 1024 * 1024),
                          spill_dir=args.spill_dir,
                          spill_bytes=int(args.spill_mb * 1024 * 1024))
@@ -517,8 +515,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                              else None,
                              max_connections=args.max_connections,
                              workers=args.workers if args.workers > 0
-                             else None,
-                             peers=args.peer or None)
+                             else None)
     except OSError as exc:  # e.g. the port is already in use
         store.close()
         raise SystemExit(f"cannot bind {args.host}:{args.port}: {exc}")

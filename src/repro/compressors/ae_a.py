@@ -25,7 +25,7 @@ from repro.nn.serialization import (
 )
 from repro.nn.training import Trainer, TrainingConfig
 from repro.registry import register_compressor
-from repro.utils.validation import ensure_float_array, ensure_positive
+from repro.utils.validation import value_range
 
 
 @register_compressor("ae_a", aliases=("ae-a", "aea"), accepts_model=True,
@@ -89,8 +89,7 @@ class AEACompressor(Compressor):
 
     # ---------------------------------------------------------------- compress
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
-        ensure_positive(rel_error_bound, "rel_error_bound")
-        data = ensure_float_array(data, "data")
+        data, abs_eb = self._checked_input(data, rel_error_bound)
         segments = self._segment(data)
         latents = self.autoencoder.encode(segments)
         ae_recon = self.autoencoder.decode(latents)
@@ -99,9 +98,6 @@ class AEACompressor(Compressor):
         residual = data - flat_recon
         # The user's bound is relative to the *original* field's value range;
         # rescale it so the residual compressor enforces the same absolute bound.
-        from repro.utils.validation import value_range
-
-        abs_eb = rel_error_bound * value_range(data) if value_range(data) > 0 else rel_error_bound
         residual_range = value_range(residual)
         residual_rel = abs_eb / residual_range if residual_range > 0 else rel_error_bound
         residual_payload = self._residual_compressor.compress(residual, residual_rel)

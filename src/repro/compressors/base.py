@@ -9,6 +9,14 @@ import numpy as np
 
 from repro.metrics.error import max_abs_error, psnr
 from repro.metrics.rate import bit_rate, compression_ratio
+from repro.utils.validation import ensure_float_array, ensure_positive, value_range
+
+
+def _absolute_bound(rel_error_bound: float, vrange: float) -> float:
+    """``eps * (max(D) - min(D))``, the paper's Section V-A5 conversion.  A
+    constant field has zero range; ``eps`` itself then keeps compression
+    well defined."""
+    return rel_error_bound * vrange if vrange > 0 else rel_error_bound
 
 
 class Compressor:
@@ -28,6 +36,14 @@ class Compressor:
 
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
         raise NotImplementedError
+
+    @staticmethod
+    def _checked_input(data, rel_error_bound: float) -> Tuple[np.ndarray, float]:
+        """Validate a ``compress`` call: the input as a finite, contiguous
+        float array, and the absolute bound ``rel_error_bound`` means on it."""
+        ensure_positive(rel_error_bound, "rel_error_bound")
+        data = ensure_float_array(data, "data")
+        return data, _absolute_bound(rel_error_bound, value_range(data))
 
     def decompress(self, payload: bytes) -> np.ndarray:
         raise NotImplementedError

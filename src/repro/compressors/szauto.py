@@ -30,7 +30,6 @@ from repro.predictors.lorenzo import (
 )
 from repro.quantization.uniform import UniformQuantizer
 from repro.registry import register_compressor
-from repro.utils.validation import ensure_float_array, ensure_positive, value_range
 
 
 def _code_entropy(codes: np.ndarray) -> float:
@@ -60,10 +59,7 @@ class SZAutoCompressor(Compressor):
         return {"lossless_backend": self.lossless_backend}
 
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
-        ensure_positive(rel_error_bound, "rel_error_bound")
-        data = ensure_float_array(data, "data")
-        vrange = value_range(data)
-        abs_eb = rel_error_bound * vrange if vrange > 0 else rel_error_bound
+        data, abs_eb = self._checked_input(data, rel_error_bound)
 
         quantizer = UniformQuantizer(abs_eb)
         q = quantizer.quantize(data)

@@ -23,7 +23,6 @@ from repro.predictors.interpolation import (
     multilevel_interpolation_encode_scalar,
 )
 from repro.registry import register_compressor
-from repro.utils.validation import ensure_float_array, ensure_positive, value_range
 
 
 @register_compressor("szinterp", aliases=("sz3",),
@@ -51,10 +50,7 @@ class SZInterpCompressor(Compressor):
         """Encode ``data``; ``scalar=True`` forces the per-point reference
         encoder (byte-identical to the default vectorized one).  ``None``
         defers to the constructor's ``scalar`` flag."""
-        ensure_positive(rel_error_bound, "rel_error_bound")
-        data = ensure_float_array(data, "data")
-        vrange = value_range(data)
-        abs_eb = rel_error_bound * vrange if vrange > 0 else rel_error_bound
+        data, abs_eb = self._checked_input(data, rel_error_bound)
 
         use_scalar = self.scalar if scalar is None else bool(scalar)
         encode = (multilevel_interpolation_encode_scalar if use_scalar

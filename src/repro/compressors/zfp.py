@@ -31,7 +31,6 @@ from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
 from repro.encoding.lossless import get_backend
 from repro.registry import register_compressor
-from repro.utils.validation import ensure_float_array, ensure_positive, value_range
 
 BLOCK_EDGE = 4
 
@@ -87,10 +86,7 @@ class ZFPCompressor(Compressor):
         return {"lossless_backend": self.lossless_backend}
 
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
-        ensure_positive(rel_error_bound, "rel_error_bound")
-        data = ensure_float_array(data, "data")
-        vrange = value_range(data)
-        abs_eb = rel_error_bound * vrange if vrange > 0 else rel_error_bound
+        data, abs_eb = self._checked_input(data, rel_error_bound)
 
         blocks, grid = split_into_blocks(data, BLOCK_EDGE)
         coeffs = _forward_transform(blocks)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.autoencoders.base import BlockAutoencoder
 from repro.autoencoders.config import AutoencoderConfig
 from repro.autoencoders.factory import AE_REGISTRY, create_autoencoder
-from repro.compressors.base import Compressor
+from repro.compressors.base import Compressor, _absolute_bound
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
 from repro.core.config import AESZConfig
 from repro.core.latent_codec import LatentCodec
@@ -38,6 +38,11 @@ from repro.nn.serialization import (
     restore_archived_model,
 )
 from repro.nn.training import Trainer, TrainingConfig
+from repro.predictors.lorenzo import (
+    _batched_lorenzo_inverse,
+    _batched_lorenzo_predict,
+    _batched_lorenzo_transform,
+)
 from repro.quantization.linear import (
     dequantize_prediction_errors,
     quantize_prediction_errors,
@@ -108,40 +113,6 @@ def output_dtype_and_bound(data: np.ndarray, abs_eb: float,
     if not np.isfinite(cast_err) or cast_err >= 0.25 * abs_eb:
         return np.dtype(np.float64), abs_eb
     return dtype, abs_eb - cast_err
-
-
-def _batched_lorenzo_predict(blocks: np.ndarray) -> np.ndarray:
-    """First-order Lorenzo prediction applied independently to every block."""
-    ndim = blocks.ndim - 1
-    padded = np.pad(blocks, [(0, 0)] + [(1, 0)] * ndim, mode="constant")
-    if ndim == 1:
-        return padded[:, :-1]
-    if ndim == 2:
-        return padded[:, 1:, :-1] + padded[:, :-1, 1:] - padded[:, :-1, :-1]
-    return (
-        padded[:, :-1, 1:, 1:]
-        + padded[:, 1:, :-1, 1:]
-        + padded[:, 1:, 1:, :-1]
-        - padded[:, :-1, :-1, 1:]
-        - padded[:, :-1, 1:, :-1]
-        - padded[:, 1:, :-1, :-1]
-        + padded[:, :-1, :-1, :-1]
-    )
-
-
-def _batched_lorenzo_transform(grid: np.ndarray) -> np.ndarray:
-    """Blockwise first-order Lorenzo differences on an integer grid (axis 0 = block)."""
-    out = grid.copy()
-    for axis in range(1, grid.ndim):
-        out = np.diff(out, axis=axis, prepend=np.zeros_like(np.take(out, [0], axis=axis)))
-    return out
-
-
-def _batched_lorenzo_inverse(diffs: np.ndarray) -> np.ndarray:
-    out = diffs.copy()
-    for axis in range(1, diffs.ndim):
-        out = np.cumsum(out, axis=axis)
-    return out
 
 
 class AESZCompressor(Compressor):
@@ -265,18 +236,13 @@ class AESZCompressor(Compressor):
         Returns ``(latents, predictions)`` where ``predictions`` come from the
         *decompressed* latents (exactly what the decompressor will see).
         """
-        n = blocks.shape[0]
-        latents = []
-        for start in range(0, n, batch):
-            latents.append(self.autoencoder.encode(blocks[start:start + batch]))
-        latents = np.concatenate(latents, axis=0)
+        latents = np.concatenate(
+            [self.autoencoder.encode(blocks[start:start + batch])
+             for start in range(0, blocks.shape[0], batch)], axis=0)
         from repro.quantization.uniform import UniformQuantizer
 
         decoded_latents = UniformQuantizer(latent_error_bound).roundtrip(latents)[1]
-        preds = []
-        for start in range(0, n, batch):
-            preds.append(self.autoencoder.decode(decoded_latents[start:start + batch]))
-        return latents, np.concatenate(preds, axis=0)
+        return latents, self._decode_latents(decoded_latents, batch)
 
     def _decode_latents(self, decoded_latents: np.ndarray, batch: int = 512) -> np.ndarray:
         preds = []
@@ -297,8 +263,7 @@ class AESZCompressor(Compressor):
         # Run the pipeline itself in float64 so predictor selection and
         # quantization behave identically for float32 and float64 inputs.
         data = data.astype(np.float64, copy=False)
-        vrange = value_range(data)
-        abs_eb = rel_error_bound * vrange if vrange > 0 else rel_error_bound
+        abs_eb = _absolute_bound(rel_error_bound, value_range(data))
         out_dtype, abs_eb = output_dtype_and_bound(data, abs_eb, in_dtype)
 
         blocks, grid = split_into_blocks(data, self.config.block_size)

@@ -10,7 +10,6 @@ from repro.predictors.lorenzo import (
 )
 from repro.predictors.mean import MeanPredictor
 from repro.predictors.regression import LinearRegressionPredictor
-from repro.predictors.interpolation import SplineInterpolationPredictor
 
 __all__ = [
     "LorenzoPredictor",
@@ -21,5 +20,4 @@ __all__ = [
     "second_order_lorenzo_inverse",
     "MeanPredictor",
     "LinearRegressionPredictor",
-    "SplineInterpolationPredictor",
 ]

@@ -323,24 +323,3 @@ def multilevel_interpolation_decode(
     if code_pos != codes.size:
         raise ValueError("interpolation code stream length mismatch")
     return recon
-
-
-class SplineInterpolationPredictor:
-    """Thin OO facade over the functional encode/decode API."""
-
-    def __init__(self, num_bins: int = DEFAULT_NUM_BINS):
-        self.num_bins = int(num_bins)
-
-    def encode(self, data: np.ndarray, error_bound: float) -> InterpolationEncoding:
-        return multilevel_interpolation_encode(data, error_bound, self.num_bins)
-
-    def decode(self, encoding_or_parts, shape, error_bound: float) -> np.ndarray:
-        if isinstance(encoding_or_parts, InterpolationEncoding):
-            enc = encoding_or_parts
-            return multilevel_interpolation_decode(
-                enc.anchor_codes, enc.codes, enc.unpredictable, shape, error_bound, self.num_bins
-            )
-        anchor_codes, codes, unpredictable = encoding_or_parts
-        return multilevel_interpolation_decode(
-            anchor_codes, codes, unpredictable, shape, error_bound, self.num_bins
-        )

@@ -49,7 +49,7 @@ T = TypeVar("T")
 
 class HttpAddress(NamedTuple):
     """A parsed ``http(s)://`` URL: the one URL -> connection mapping shared by
-    the range reader, the push/delete client and the federation proxy."""
+    the range reader and the push/delete client."""
 
     url: str
     https: bool

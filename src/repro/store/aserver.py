@@ -49,7 +49,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, cast
+from typing import Any, Callable, Dict, Optional, Set, Tuple, cast
 
 from repro.store.ingest import IngestManager
 from repro.store.server import Request, Response, StoreApp
@@ -232,15 +232,13 @@ class AsyncStoreHTTPServer:
     """
 
     def __init__(self, address: Tuple[str, int], store: ArchiveStore, *,
-                 quiet: bool = True, ingest: Optional[IngestManager] = None,
+                 ingest: Optional[IngestManager] = None,
                  read_timeout: Optional[float] = None,
                  max_connections: int = 512,
-                 workers: Optional[int] = None,
-                 peers: Optional[List[str]] = None) -> None:
-        self.app = StoreApp(store, ingest=ingest, peers=peers)
+                 workers: Optional[int] = None) -> None:
+        self.app = StoreApp(store, ingest=ingest)
         self.store = store
         self.ingest = ingest
-        self.quiet = quiet
         self.metrics = self.app.metrics
         self.read_timeout = read_timeout
         self.max_connections = max_connections

@@ -16,12 +16,14 @@ import json
 import math
 from http.client import HTTPConnection
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 from urllib.parse import quote
 
 import numpy as np
 
+from repro.api import _range_pass, _resolve_field_source, _slab_chunks
 from repro.bounds import MODE_REL, as_bound
+from repro.data.loader import map_f32
 from repro.sources.http import HttpAddress, RetryPolicy, TransientHTTPError
 
 #: Upload granularity: whole rows totalling about this many bytes per chunk.
@@ -42,48 +44,28 @@ def open_field(source, dims=None) -> np.ndarray:
     ``.npy`` paths open memory-mapped; raw float32 files need ``dims`` and
     open as a read-only memmap; arrays pass through.
     """
-    if isinstance(source, np.ndarray):
-        return source
-    path = Path(source)
-    if path.suffix == ".npy":
-        return np.load(path, mmap_mode="r")
+    if isinstance(source, np.ndarray) or Path(source).suffix == ".npy":
+        return _resolve_field_source(source)
     if dims is None:
         raise ValueError(
-            f"raw field file {str(path)!r} needs dims= (only .npy files are "
+            f"raw field file {str(source)!r} needs dims= (only .npy files are "
             f"self-describing)")
-    return np.memmap(path, dtype=np.float32, mode="r",
-                     shape=tuple(int(d) for d in dims))
+    return map_f32(source, dims)
 
 
-def _row_slabs(arr: np.ndarray, chunk_bytes: int) -> Iterator[np.ndarray]:
-    """Whole-row slabs of roughly ``chunk_bytes`` each (at least one row)."""
-    if arr.ndim == 0:
-        yield arr.reshape(1)
-        return
-    row_bytes = int(np.prod(arr.shape[1:], dtype=np.int64)) * arr.dtype.itemsize
-    rows = max(1, chunk_bytes // max(1, row_bytes))
-    for start in range(0, arr.shape[0], rows):
-        yield arr[start:start + rows]
-
-
-def _streamed_range(arr: np.ndarray, chunk_bytes: int) -> Tuple[float, float]:
-    lo, hi = math.inf, -math.inf
-    for slab in _row_slabs(arr, chunk_bytes):
-        slab_lo, slab_hi = float(np.min(slab)), float(np.max(slab))
-        if not (math.isfinite(slab_lo) and math.isfinite(slab_hi)):
-            # Checked per slab: ``min(inf, nan)`` keeps the first argument,
-            # so a NaN could otherwise vanish into the running bounds and
-            # the whole body would stream before the server rejects it.
-            raise ValueError(
-                "cannot derive a rel-bound data range: the source contains "
-                "non-finite values (NaN/Inf); clean the field or pass an "
-                "explicit data_range=")
-        lo = min(lo, slab_lo)
-        hi = max(hi, slab_hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):  # zero-size source
+def _streamed_range(arr: np.ndarray, chunk_elems: int) -> Tuple[float, float]:
+    """The global ``(min, max)`` a ``rel`` bound needs, checked slab by slab
+    so a NaN fails here, before a single body byte is streamed."""
+    if arr.size == 0:
         raise ValueError(
             "cannot derive a rel-bound data range from an empty source; "
             "pass an explicit data_range=")
+    lo, hi = _range_pass(arr, chunk_elems)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            "cannot derive a rel-bound data range: the source contains "
+            "non-finite values (NaN/Inf); clean the field or pass an "
+            "explicit data_range=")
     return lo, hi
 
 
@@ -151,8 +133,10 @@ def push_field(url: str, key: str,
             "cannot push a 0-d source: the server addresses fields by "
             "per-axis extents; reshape to at least 1-d (e.g. arr.reshape(1))")
     bound = as_bound(bound)
+    # Upload granularity in elements: whole rows, at least one per chunk.
+    chunk_elems = chunk_bytes // arr.dtype.itemsize
     if bound.mode == MODE_REL and data_range is None:
-        data_range = _streamed_range(arr, chunk_bytes)
+        data_range = _streamed_range(arr, chunk_elems)
     headers = {
         "X-Repro-Shape": ",".join(str(int(s)) for s in arr.shape),
         "X-Repro-Dtype": str(arr.dtype),
@@ -165,7 +149,7 @@ def push_field(url: str, key: str,
     if token is not None:
         headers["Authorization"] = f"Bearer {token}"
     body = (np.ascontiguousarray(slab).tobytes()
-            for slab in _row_slabs(arr, chunk_bytes))
+            for _, _, slab in _slab_chunks(arr, chunk_elems))
     # Retry covers *connection establishment only*: a push is not idempotent
     # once body bytes are on the wire (the server may already be ingesting),
     # so transient faults after the explicit connect() surface to the caller.

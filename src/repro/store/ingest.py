@@ -53,7 +53,7 @@ from repro.store.manifest import (
     StoreManifest,
     fsync_directory,
 )
-from repro.store.store import ArchiveStore
+from repro.store.store import ArchiveStore, _check_key
 from repro.utils.concurrency import install_guards, make_lock
 
 #: Default per-key quota on *uploaded field bytes* (1 GiB).  The archive on
@@ -306,7 +306,7 @@ class IngestManager:
         codec, bad bound, malformed body via the block iterator), and
         :class:`IngestVerifyError` if the staged archive fails verification.
         """
-        self._check_key(key)
+        _check_key(key)
         bound = as_bound(bound)
         try:
             spec = compressor_spec(codec)
@@ -394,16 +394,6 @@ class IngestManager:
         return entry
 
     # ------------------------------------------------------------- internals
-    @staticmethod
-    def _check_key(key: str) -> None:
-        if not isinstance(key, str) or not key:
-            raise ValueError(
-                f"archive key must be a non-empty string, got {key!r}")
-        if "/" in key:
-            raise ValueError(
-                f"archive key {key!r} must not contain '/' (keys are one URL "
-                f"path segment)")
-
     @staticmethod
     def _verify_archive(path: Path):
         """Parse the staged file's header and CRC-spot-check its tiles.

@@ -82,10 +82,10 @@ from __future__ import annotations
 
 import hmac
 import json
+import logging
 import math
 import re
 import time
-from http.client import HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple,
                     Union)
@@ -95,7 +95,6 @@ import numpy as np
 
 from repro.api import DEFAULT_CHUNK_ELEMS
 from repro.bounds import ErrorBound, MODES
-from repro.sources.http import HttpAddress, RetryPolicy
 from repro.store.ingest import (
     IngestConflictError,
     IngestManager,
@@ -106,11 +105,18 @@ from repro.store.ingest import (
     read_row_blocks,
     read_sized_stream,
 )
-from repro.store.store import ArchiveStore, ReadInfo, RegionSpecError
+from repro.store.store import (ArchiveStore, ReadInfo, RegionSpecError,
+                               StoreClosedError)
 from repro.utils.concurrency import install_guards, make_lock
 
 if TYPE_CHECKING:  # the async front end; imported lazily at runtime
     from repro.store.aserver import AsyncStoreHTTPServer
+
+#: The access log: one INFO line per request, ``method target status bytes
+#: ms``, written by :meth:`StoreApp.handle` — so both front ends print the
+#: same line.  Silent until a handler listens (``make_server(quiet=False)``,
+#: i.e. ``repro serve --verbose``, attaches stderr).
+ACCESS_LOG = logging.getLogger("repro.serve")
 
 #: Upper bounds (milliseconds) of the per-route latency histogram buckets.
 #: Log-spaced from sub-millisecond cache hits to multi-second cold decodes;
@@ -276,48 +282,30 @@ class StoreApp:
     #: Cap on the number of regions per batch.
     REGIONS_MAX_COUNT = 1024
 
-    #: Response headers a federation proxy passes through from the peer.
-    PROXY_HEADERS = ("Content-Type", "ETag", "Accept-Ranges", "Content-Range",
-                     "X-Repro-Shape", "X-Repro-Dtype", "X-Repro-Header",
-                     "X-Repro-Generation", "X-Repro-Count")
-    #: Two immediate attempts per peer before moving to the next one.
-    PROXY_RETRY = RetryPolicy(2, base_delay=0.0)
-
     def __init__(self, store: ArchiveStore, *,
-                 ingest: Optional[IngestManager] = None,
-                 peers: Optional[List[str]] = None,
-                 proxy_timeout: float = 30.0) -> None:
+                 ingest: Optional[IngestManager] = None) -> None:
         self.store = store
         self.ingest = ingest
         self.metrics = RouteMetrics()
-        # Federation: GET lookups for keys this store does not own are
-        # retried against these peer nodes, in order.
-        self._peers = [self._parse_peer(url) for url in (peers or [])]
-        self._proxy_timeout = float(proxy_timeout)
-        self._proxy_lock = make_lock("StoreApp._proxy_lock")
-        self._proxied = 0  # guarded by: self._proxy_lock
-        self._proxy_errors = 0  # guarded by: self._proxy_lock
-
-    @staticmethod
-    def _parse_peer(url: str) -> HttpAddress:
-        return HttpAddress.parse(
-            url, f"invalid peer URL {url!r} (need "
-                 f"http(s)://host[:port][/prefix])")
 
     # ------------------------------------------------------------ entry point
     def handle(self, request: Request) -> Response:
         start = time.perf_counter()
         route = "other"
-        status = 0
+        status = nbytes = 0
         try:
             parsed = urlparse(request.target)
             parts = [unquote(p) for p in parsed.path.split("/") if p]
             route, thunk = self._resolve(request, parts, parsed)
             response = thunk()
-            status = response.status
+            status, nbytes = response.status, len(response.body)
             return response
         finally:
-            self.metrics.record(route, status, time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            self.metrics.record(route, status, seconds)
+            if ACCESS_LOG.isEnabledFor(logging.INFO):
+                ACCESS_LOG.info("%s %s %d %d %.3f", request.method,
+                                request.target, status, nbytes, seconds * 1e3)
 
     def _resolve(self, request: Request, parts: List[str], parsed
                  ) -> Tuple[str, Callable[[], Response]]:
@@ -364,24 +352,13 @@ class StoreApp:
             "routes": self.metrics.snapshot(),
             "writable": self.ingest is not None,
             "remote": self.store.remote_stats(),
-            "federation": self._federation_stats(),
         })
-
-    def _federation_stats(self) -> dict:
-        with self._proxy_lock:
-            proxied, errors = self._proxied, self._proxy_errors
-        return {"peers": [peer.url for peer in self._peers],
-                "proxied": proxied, "proxy_errors": errors}
 
     def _info(self, request: Request, key: str) -> Response:
         try:
             info = self.store.entry_info(key)
-        except KeyError as exc:
-            return self._proxy_or_404(request, exc)
-        except ValueError as exc:
-            # "store is closed": a request raced the shutdown path.  Answer
-            # it cleanly instead of dying with a traceback mid-connection.
-            return self._json(503, {"error": str(exc)})
+        except (KeyError, ValueError) as exc:
+            return self._store_fault(exc)
         not_modified = self._not_modified(request, info)
         if not_modified is not None:
             return not_modified
@@ -409,21 +386,8 @@ class StoreApp:
             return not_modified
         try:
             arr, info = self.store.read_region_with_info(key, spec)
-        except RegionSpecError as exc:
-            # The client's region is at fault (syntax, rank, negative or
-            # reversed bounds against this entry's shape): 4xx.
-            return self._json(400, {"error": str(exc)})
-        except KeyError as exc:
-            return self._proxy_or_404(request, exc)
-        except ValueError as exc:
-            # "store is closed" races the shutdown path (503); everything
-            # else is the archive's fault — corrupt tile bytes, shape
-            # mismatch after decode (500).  Nothing was cached, so other
-            # regions of this archive keep serving and retries re-attempt.
-            code = 503 if "store is closed" in str(exc) else 500
-            return self._json(code, {"error": str(exc)})
-        except OSError as exc:
-            return self._json(500, {"error": str(exc)})
+        except (KeyError, ValueError, OSError) as exc:
+            return self._store_fault(exc)
         body = np.ascontiguousarray(arr).tobytes()
         meta = {
             "key": key,
@@ -481,13 +445,8 @@ class StoreApp:
                         extra={"Content-Range": f"bytes */{size}",
                                "Accept-Ranges": "bytes"})
                 status = 206
-        except KeyError as exc:
-            return self._proxy_or_404(request, exc)
-        except ValueError as exc:
-            code = 503 if "store is closed" in str(exc) else 500
-            return self._json(code, {"error": str(exc)})
-        except OSError as exc:
-            return self._json(500, {"error": str(exc)})
+        except (KeyError, ValueError, OSError) as exc:
+            return self._store_fault(exc)
         headers = {"Content-Type": "application/octet-stream",
                    "Accept-Ranges": "bytes"}
         headers.update(self._entity_headers(info))
@@ -495,60 +454,6 @@ class StoreApp:
             headers["Content-Range"] = \
                 f"bytes {start}-{start + len(data) - 1}/{size}"
         return Response(status, data, headers=headers)
-
-    # ------------------------------------------------------------- federation
-    def _proxy_or_404(self, request: Request, exc: KeyError) -> Response:
-        """Try the configured peers for an unknown key; 404 when none serve it."""
-        proxied = self._proxy(request)
-        if proxied is not None:
-            return proxied
-        return self._json(404, {"error": str(exc)})
-
-    def _proxy(self, request: Request) -> Optional[Response]:
-        if not self._peers or request.header("x-repro-federated") is not None:
-            # No peers, or the request already came from a peer: answering
-            # locally (404) breaks the forwarding loop two misconfigured
-            # nodes pointing at each other would otherwise enter.
-            return None
-        headers = {"X-Repro-Federated": "1"}
-        for name in ("range", "if-none-match"):
-            value = request.header(name)
-            if value is not None:
-                headers[name] = value
-        for peer in self._peers:
-            response = self._proxy_one(peer, request.target, headers)
-            if response is None or response.status == 404:
-                continue  # this peer does not own the key either
-            with self._proxy_lock:
-                self._proxied += 1
-            return response
-        return None
-
-    def _proxy_one(self, peer: HttpAddress, target: str,
-                   headers: Dict[str, str]) -> Optional[Response]:
-        def attempt() -> Response:
-            conn = peer.connect(self._proxy_timeout)
-            try:
-                conn.request("GET", peer.base + target, headers=headers)
-                resp = conn.getresponse()
-                body = resp.read()
-                out_headers = {}
-                for name in self.PROXY_HEADERS:
-                    value = resp.getheader(name)
-                    if value is not None:
-                        out_headers[name] = value
-                return Response(resp.status, body, headers=out_headers)
-            except (HTTPException, OSError):
-                with self._proxy_lock:
-                    self._proxy_errors += 1
-                raise
-            finally:
-                conn.close()
-
-        try:
-            return self.PROXY_RETRY.run(attempt, f"proxy to {peer.url} failed")
-        except OSError:
-            return None  # this peer is down: the caller moves to the next
 
     def _regions(self, request: Request, key: str) -> Response:
         """Batched region reads: JSON spec list in, concatenated bytes out."""
@@ -592,15 +497,8 @@ class StoreApp:
                                              f"region limit"})
         try:
             arrays, infos = self.store.read_regions_with_info(key, specs)
-        except RegionSpecError as exc:
-            return self._json(400, {"error": str(exc)})
-        except KeyError as exc:
-            return self._json(404, {"error": str(exc)})
-        except ValueError as exc:
-            code = 503 if "store is closed" in str(exc) else 500
-            return self._json(code, {"error": str(exc)})
-        except OSError as exc:
-            return self._json(500, {"error": str(exc)})
+        except (KeyError, ValueError, OSError) as exc:
+            return self._store_fault(exc)
         parts = [np.ascontiguousarray(a).tobytes() for a in arrays]
         regions_meta = []
         offset = 0
@@ -782,11 +680,9 @@ class StoreApp:
         try:
             info = self.store.entry_info(key)
         except KeyError:
-            # Unknown key: let the main read path raise (same 404 message)
-            # so federation can try the peers with the header intact.
-            return None
+            return None  # unknown key: the main read path answers the 404
         except ValueError as exc:
-            return self._json(503, {"error": str(exc)})
+            return self._store_fault(exc)
         return self._not_modified(request, info)
 
     def _not_modified(self, request: Request, info: ReadInfo
@@ -795,6 +691,27 @@ class StoreApp:
         if inm is not None and _etag_matches(inm, info.etag):
             return Response(304, b"", headers=self._entity_headers(info))
         return None
+
+    def _store_fault(self, exc: Exception) -> Response:
+        """The response for a store read that raised — the one place a
+        fault's type becomes a status.
+
+        400: the client's region is at fault (syntax, rank, negative or
+        reversed bounds against this entry's shape).  404: unknown key.
+        503: the request raced the shutdown path.  500: the archive's fault —
+        corrupt tile bytes, a shape mismatch after decode, a failed source
+        read.  Nothing was cached, so other regions of the archive keep
+        serving and retries re-attempt.
+        """
+        if isinstance(exc, RegionSpecError):
+            code = 400
+        elif isinstance(exc, KeyError):
+            code = 404
+        elif isinstance(exc, StoreClosedError):
+            code = 503
+        else:
+            code = 500
+        return self._json(code, {"error": str(exc)})
 
     @staticmethod
     def _entity_headers(info: ReadInfo) -> Dict[str, str]:
@@ -845,6 +762,9 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/3"
     protocol_version = "HTTP/1.1"  # keep-alive; every response sets Content-Length
+    # Head and body go out as two segments; with Nagle on, a small keep-alive
+    # read would wait out the client's delayed ACK (~40 ms) between them.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         read_timeout = getattr(self.server, "read_timeout", None)
@@ -890,8 +810,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(response.body)
 
     def log_message(self, fmt, *args) -> None:
-        if not getattr(self.server, "quiet", True):  # pragma: no cover
-            super().log_message(fmt, *args)
+        """Silent: the access line is ``StoreApp.handle``'s, for both front ends."""
 
 
 class StoreHTTPServer(ThreadingHTTPServer):
@@ -907,13 +826,11 @@ class StoreHTTPServer(ThreadingHTTPServer):
     daemon_threads = True  # in-flight requests never block process exit
 
     def __init__(self, address: Tuple[str, int], store: ArchiveStore, *,
-                 quiet: bool = True, ingest: Optional[IngestManager] = None,
-                 read_timeout: Optional[float] = None,
-                 peers: Optional[List[str]] = None):
+                 ingest: Optional[IngestManager] = None,
+                 read_timeout: Optional[float] = None):
         super().__init__(address, StoreRequestHandler)
-        self.app = StoreApp(store, ingest=ingest, peers=peers)
+        self.app = StoreApp(store, ingest=ingest)
         self.store = store
-        self.quiet = quiet
         self.ingest = ingest
         self.metrics = self.app.metrics
         self.read_timeout = read_timeout
@@ -931,7 +848,6 @@ def make_server(store: ArchiveStore, host: str = "127.0.0.1", port: int = 0,
                 read_timeout: Optional[float] = None,
                 max_connections: int = 512,
                 workers: Optional[int] = None,
-                peers: Optional[List[str]] = None,
                 ) -> "Union[StoreHTTPServer, AsyncStoreHTTPServer]":
     """Bind a store HTTP server (``port=0`` picks a free port).
 
@@ -943,6 +859,8 @@ def make_server(store: ArchiveStore, host: str = "127.0.0.1", port: int = 0,
     :class:`StoreApp`.  ``read_timeout`` bounds how long a connection may
     sit idle (or stall mid-body); ``max_connections`` and ``workers`` apply
     to the selectors front end (connection guard / decode pool size).
+    ``quiet=False`` prints the access log (one line per request, logger
+    ``repro.serve``) to stderr.
 
     The caller drives it: ``serve_forever()`` inline (what ``repro serve``
     does after printing the bound URL), or on a thread for embedding
@@ -950,19 +868,21 @@ def make_server(store: ArchiveStore, host: str = "127.0.0.1", port: int = 0,
     ``shutdown()`` + ``server_close()`` to stop.  Pass ``ingest=`` to enable
     the write routes (``POST`` / ``DELETE /v1/<key>``).
     """
-    if server in ("selectors", "async"):
+    if server not in ("selectors", "threaded"):
+        raise ValueError(f"unknown server kind {server!r} "
+                         f"(use 'selectors' or 'threaded')")
+    if not quiet:
+        if not ACCESS_LOG.handlers:
+            ACCESS_LOG.addHandler(logging.StreamHandler())  # stderr
+        ACCESS_LOG.setLevel(logging.INFO)
+    if server == "selectors":
         from repro.store.aserver import AsyncStoreHTTPServer
 
         return AsyncStoreHTTPServer(
-            (host, port), store, quiet=quiet, ingest=ingest,
-            read_timeout=read_timeout, max_connections=max_connections,
-            workers=workers, peers=peers)
-    if server != "threaded":
-        raise ValueError(f"unknown server kind {server!r} "
-                         f"(use 'selectors' or 'threaded')")
-    return StoreHTTPServer((host, port), store, quiet=quiet, ingest=ingest,
-                           read_timeout=read_timeout, peers=peers)
+            (host, port), store, ingest=ingest, read_timeout=read_timeout,
+            max_connections=max_connections, workers=workers)
+    return StoreHTTPServer((host, port), store, ingest=ingest,
+                           read_timeout=read_timeout)
 
 
 install_guards(RouteMetrics, "_lock", ("_routes",))
-install_guards(StoreApp, "_proxy_lock", ("_proxied", "_proxy_errors"))

@@ -60,6 +60,23 @@ class RegionSpecError(ValueError):
     """
 
 
+class StoreClosedError(ValueError):
+    """The store was closed under the caller: a read or add raced shutdown
+    (HTTP 503).  Subclasses ``ValueError`` for the same reason as
+    :class:`RegionSpecError`."""
+
+
+def _check_key(key: str) -> None:
+    """Raise ``ValueError`` unless ``key`` can name an archive: a non-empty
+    string that is one URL path segment of the serve endpoint."""
+    if not isinstance(key, str) or not key:
+        raise ValueError(f"archive key must be a non-empty string, got {key!r}")
+    if "/" in key:
+        raise ValueError(
+            f"archive key {key!r} must not contain '/' (keys are one URL "
+            f"path segment of the serve endpoint)")
+
+
 class ReadInfo(NamedTuple):
     """Metadata of the entry a read actually resolved — one atomic snapshot.
 
@@ -221,7 +238,7 @@ class ArchiveStore:
         with self._lock:
             if self._closed:
                 entry.handle.close()
-                raise ValueError("store is closed")
+                raise StoreClosedError("store is closed")
             if key in self._entries:
                 entry.handle.close()
                 raise ValueError(f"archive key {key!r} is already registered")
@@ -247,7 +264,7 @@ class ArchiveStore:
         with self._lock:
             if self._closed:
                 entry.handle.close()
-                raise ValueError("store is closed")
+                raise StoreClosedError("store is closed")
             old = self._entries.get(key)
             if generation is not None:
                 entry.generation = int(generation)
@@ -297,12 +314,7 @@ class ArchiveStore:
     def _build_entry(self, key: str, source: SourceType, model, autoencoder,
                      codec_options) -> _Entry:
         """Validate the key, open the source and parse its header once."""
-        if not isinstance(key, str) or not key:
-            raise ValueError(f"archive key must be a non-empty string, got {key!r}")
-        if "/" in key:
-            raise ValueError(
-                f"archive key {key!r} must not contain '/' (keys are one URL "
-                f"path segment of the serve endpoint)")
+        _check_key(key)
         handle = self._open_handle(source)
         try:
             index = load_index(handle)
@@ -416,9 +428,9 @@ class ArchiveStore:
         Positional read straight off the entry's handle — no tile decode,
         no cache traffic.  ``length=None`` reads to the end; reads past EOF
         clamp like the underlying sources.  This is what lets one node
-        serve another's archives over ``GET /v1/<key>/archive`` (the
-        federation transport): the bytes are the archive file itself, so
-        the receiving side's CRC checks still guard every tile.
+        serve another's archives over ``GET /v1/<key>/archive``: the bytes
+        are the archive file itself, so the receiving side's CRC checks
+        still guard every tile.
         """
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
@@ -537,7 +549,7 @@ class ArchiveStore:
         """
         with self._lock:
             if self._closed:
-                raise ValueError("store is closed")
+                raise StoreClosedError("store is closed")
             entry = self._entries.get(key)
             if entry is None:
                 raise KeyError(f"no archive registered under key {key!r}")

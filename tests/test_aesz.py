@@ -11,17 +11,19 @@ from repro.core import (
     LatentCodec,
     default_autoencoder_config,
 )
-from repro.core.aesz import (
-    FLAG_AE,
-    FLAG_LORENZO,
-    FLAG_MEAN,
+from repro.core.aesz import FLAG_AE, FLAG_LORENZO, FLAG_MEAN
+from repro.core.config import PAPER_TABLE_VI
+from repro.metrics import psnr, verify_error_bound
+from repro.predictors import (
+    lorenzo_inverse_transform,
+    lorenzo_predict,
+    lorenzo_transform,
+)
+from repro.predictors.lorenzo import (
     _batched_lorenzo_inverse,
     _batched_lorenzo_predict,
     _batched_lorenzo_transform,
 )
-from repro.core.config import PAPER_TABLE_VI
-from repro.metrics import psnr, verify_error_bound
-from repro.predictors import lorenzo_predict
 
 
 class TestAESZConfig:
@@ -124,6 +126,21 @@ class TestBatchedLorenzoHelpers:
         batched = _batched_lorenzo_predict(blocks)
         for b in range(3):
             np.testing.assert_allclose(batched[b], lorenzo_predict(blocks[b]))
+
+
+    @pytest.mark.parametrize("shape", [(9,), (6, 7), (4, 5, 3)])
+    def test_single_field_functions_are_the_one_block_batch(self, shape):
+        rng = np.random.default_rng(3)
+        field = rng.normal(size=shape)
+        grid = rng.integers(-100, 100, size=shape)
+        np.testing.assert_array_equal(
+            lorenzo_predict(field), _batched_lorenzo_predict(field[None])[0])
+        diffs = lorenzo_transform(grid)
+        np.testing.assert_array_equal(
+            diffs, _batched_lorenzo_transform(grid[None])[0])
+        np.testing.assert_array_equal(
+            lorenzo_inverse_transform(diffs), _batched_lorenzo_inverse(diffs[None])[0])
+        np.testing.assert_array_equal(lorenzo_inverse_transform(diffs), grid)
 
 
 class TestCompressionStats:

@@ -10,7 +10,6 @@ from repro.predictors import (
     LinearRegressionPredictor,
     LorenzoPredictor,
     MeanPredictor,
-    SplineInterpolationPredictor,
     lorenzo_inverse_transform,
     lorenzo_predict,
     lorenzo_transform,
@@ -219,14 +218,6 @@ class TestInterpolation:
             mesh = np.meshgrid(*grids, indexing="ij")
             covered[tuple(mesh)] = True
         assert covered.all()
-
-    def test_predictor_facade(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=(30, 30))
-        predictor = SplineInterpolationPredictor()
-        enc = predictor.encode(data, 0.01)
-        dec = predictor.decode(enc, data.shape, 0.01)
-        np.testing.assert_array_equal(dec, enc.reconstructed)
 
     def test_invalid_error_bound_raises(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The ByteSource seam: HTTP range reads, retry/backoff, spill cache, federation.
+"""The ByteSource seam: HTTP range reads, retry/backoff, spill cache, node-to-node reads.
 
 Acceptance (ISSUE 10): ``repro.read_region(url, region)`` and an
 ``ArchiveStore`` entry backed by :class:`HttpByteSource` return bytes
@@ -514,7 +514,7 @@ class TestSpillCache:
 
 
 # ---------------------------------------------------------------------------
-# Store + server integration: URLs end to end, /archive route, federation
+# Store + server integration: URLs end to end, /archive route, one node fronting another
 # ---------------------------------------------------------------------------
 
 class TestStoreIntegration:
@@ -586,65 +586,6 @@ class TestStoreIntegration:
             finally:
                 server_a.shutdown()
                 server_a.server_close()
-
-    def test_federation_proxy(self, grid_blob, field):
-        """A node proxies GET region/info for keys a peer owns."""
-        with ArchiveStore() as store_a, ArchiveStore() as store_b:
-            store_a.add("owned-by-a", grid_blob)
-            server_a = make_server(store_a, server="threaded")
-            thread_a = threading.Thread(target=server_a.serve_forever,
-                                        daemon=True)
-            thread_a.start()
-            server_b = make_server(store_b, server="threaded",
-                                   peers=[server_a.url])
-            thread_b = threading.Thread(target=server_b.serve_forever,
-                                        daemon=True)
-            thread_b.start()
-            try:
-                spec = "3:13,5:21"
-                with HttpByteSource(
-                        f"{server_b.url}/v1/owned-by-a/archive",
-                        retry=fast_retry()) as src:
-                    assert src.read_all() == grid_blob
-                import json as _json
-                from urllib.request import urlopen
-                with urlopen(f"{server_b.url}/v1/owned-by-a/region?r={spec}"
-                             ) as resp:
-                    assert resp.status == 200
-                    meta = _json.loads(resp.headers["X-Repro-Header"])
-                    body = resp.read()
-                arr = np.frombuffer(body, dtype=meta["dtype"]).reshape(
-                    meta["shape"])
-                assert np.array_equal(
-                    arr, repro.read_region(grid_blob, REGION))
-                with urlopen(f"{server_b.url}/metrics") as resp:
-                    metrics = _json.loads(resp.read())
-                assert metrics["federation"]["proxied"] >= 2
-                assert metrics["federation"]["peers"] == [server_a.url]
-            finally:
-                server_b.shutdown()
-                server_b.server_close()
-                server_a.shutdown()
-                server_a.server_close()
-
-    def test_federation_loop_guard(self, grid_blob):
-        """A node whose peer list points back at itself answers 404, not loops."""
-        with ArchiveStore() as store:
-            server = make_server(store, server="threaded")
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            server.app._peers = [server.app._parse_peer(server.url)]
-            try:
-                import json as _json
-                from urllib.error import HTTPError
-                from urllib.request import urlopen
-                with pytest.raises(HTTPError) as err:
-                    urlopen(f"{server.url}/v1/nope/info")
-                assert err.value.code == 404
-                assert "nope" in _json.loads(err.value.read())["error"]
-            finally:
-                server.shutdown()
-                server.server_close()
 
 
 # ---------------------------------------------------------------------------

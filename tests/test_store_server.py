@@ -9,7 +9,9 @@ the same archive keep serving.
 
 from __future__ import annotations
 
+import io
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -467,3 +469,101 @@ class TestLatencyHistograms:
         assert region["requests"] == 4 and region["errors"] == 1
         assert sum(region["buckets"]) == 4
         assert region["p50_ms"] > 0 and region["p99_ms"] >= region["p50_ms"]
+
+
+# ---------------------------------------------------------------------------
+# What both front ends share below the routes: socket options, the access
+# log, and the fault -> status mapping
+# ---------------------------------------------------------------------------
+
+class TestFrontEndParity:
+    def test_accepted_connections_disable_nagle(self, server, monkeypatch):
+        """Head and body leave as two segments: with Nagle on, every small
+        keep-alive read would wait out the client's delayed ACK."""
+        import socket
+
+        from repro.store.server import StoreRequestHandler
+
+        seen = []
+        real_handle = StoreRequestHandler.handle
+
+        def recording_handle(handler):
+            seen.append(handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                      socket.TCP_NODELAY))
+            real_handle(handler)
+
+        monkeypatch.setattr(StoreRequestHandler, "handle", recording_handle)
+        conn = _open_conn(server)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            # The selectors front end keeps its connections in ``_conns``.
+            seen += [c.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                     for c in list(getattr(server, "_conns", ()))]
+        finally:
+            conn.close()
+        assert seen and all(seen)
+
+    def test_access_log_line_per_request(self, server, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.serve"):
+            _get(server.url + "/v1/field/info")
+            _get_error(server.url + "/v1/nope/info")
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "repro.serve"]
+        assert len(lines) == 2
+        assert re.fullmatch(r"GET /v1/field/info 200 [1-9]\d* \d+\.\d{3}", lines[0])
+        assert re.fullmatch(r"GET /v1/nope/info 404 [1-9]\d* \d+\.\d{3}", lines[1])
+
+    def test_access_log_is_silent_by_default(self, server, caplog):
+        _get(server.url + "/healthz")
+        assert not [r for r in caplog.records if r.name == "repro.serve"]
+
+    @pytest.mark.parametrize("kind", ["threaded", "selectors"])
+    def test_not_quiet_prints_the_access_log_to_stderr(self, kind, capsys):
+        from repro.store.server import ACCESS_LOG
+
+        store = ArchiveStore()
+        try:
+            srv = make_server(store, server=kind, quiet=False)
+            thread = threading.Thread(target=srv.serve_forever, daemon=True)
+            thread.start()
+            try:
+                _get(srv.url + "/healthz")
+            finally:
+                srv.shutdown()
+                srv.server_close()
+                thread.join(timeout=10)
+            assert re.search(r"^GET /healthz 200 \d+ \d+\.\d{3}$",
+                             capsys.readouterr().err, re.MULTILINE)
+        finally:
+            store.close()
+            for handler in list(ACCESS_LOG.handlers):
+                ACCESS_LOG.removeHandler(handler)
+            ACCESS_LOG.setLevel(logging.NOTSET)
+
+    def test_closed_store_is_503_on_every_read_route(self, grid_path):
+        from repro.store.server import Request, StoreApp
+        from repro.store.store import StoreClosedError
+
+        store = ArchiveStore()
+        store.add("field", grid_path)
+        app = StoreApp(store)
+        store.close()
+        with pytest.raises(StoreClosedError, match="store is closed"):
+            store.entry_info("field")
+        body = json.dumps({"regions": ["0:1,0:1,0:1"]}).encode()
+        requests = [
+            Request("GET", "/v1/field/info", {}, None),
+            Request("GET", "/v1/field/info", {"if-none-match": '"x"'}, None),
+            Request("GET", "/v1/field/region?r=0:1,0:1,0:1", {}, None),
+            Request("GET", "/v1/field/region?r=0:1,0:1,0:1",
+                    {"if-none-match": '"x"'}, None),
+            Request("GET", "/v1/field/archive", {"range": "bytes=0-9"}, None),
+            Request("POST", "/v1/field/regions",
+                    {"content-length": str(len(body))}, io.BytesIO(body)),
+        ]
+        for request in requests:
+            response = app.handle(request)
+            assert response.status == 503, request.target
+            assert json.loads(response.body) == {"error": "store is closed"}
+            assert not response.close
