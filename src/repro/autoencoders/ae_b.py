@@ -101,23 +101,14 @@ class ResidualConvAutoencoder(BlockAutoencoder):
         self.conv_channels = int(channels)
 
     # The latent is a feature map; flatten it for storage.
-    def encode(self, blocks: np.ndarray) -> np.ndarray:
-        x = self.normalize(self._with_channel(blocks))
-        feat = self.encoder.forward(x, training=False)
-        self._latent_shape = feat.shape[1:]
+    def _encode_chunk(self, blocks: np.ndarray) -> np.ndarray:
+        feat = super()._encode_chunk(blocks)
         return feat.reshape(feat.shape[0], -1)
 
-    def decode(self, latents: np.ndarray) -> np.ndarray:
-        latents = np.asarray(latents, dtype=np.float64)
+    def _decode_chunk(self, latents: np.ndarray) -> np.ndarray:
         spatial = self.config.block_size // (2**self.n_compression)
         shape = (latents.shape[0], self.latent_channels) + (spatial,) * self.config.ndim
-        out = self.decoder.forward(latents.reshape(shape), training=False)
-        return self.denormalize(out[:, 0, ...])
-
-    def reconstruct(self, blocks: np.ndarray) -> np.ndarray:
-        return self.decode(self.encode(blocks))
-
-    predict_blocks = reconstruct
+        return super()._decode_chunk(latents.reshape(shape))
 
     def train_step(self, batch: np.ndarray) -> float:
         x = self.normalize(self._with_channel(batch))

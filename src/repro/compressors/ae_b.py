@@ -86,10 +86,7 @@ class AEBCompressor(Compressor):
     def compress(self, data: np.ndarray, rel_error_bound: float = 0.0) -> bytes:
         data = ensure_float_array(data, "data")
         blocks, grid = split_into_blocks(data, self.block_size)
-        latents = []
-        for start in range(0, blocks.shape[0], 256):
-            latents.append(self.autoencoder.encode(blocks[start:start + 256]))
-        latents = np.concatenate(latents, axis=0)
+        latents = self.autoencoder.encode(blocks)
 
         container = ByteContainer()
         container.put_json("meta", {
@@ -106,7 +103,4 @@ class AEBCompressor(Compressor):
         latent_size = int(meta["latent_size"])
         latents = np.frombuffer(container["latents"], dtype=np.float32).astype(np.float64)
         latents = latents.reshape(grid.n_blocks, latent_size)
-        blocks = []
-        for start in range(0, grid.n_blocks, 256):
-            blocks.append(self.autoencoder.decode(latents[start:start + 256]))
-        return reassemble_blocks(np.concatenate(blocks, axis=0), grid)
+        return reassemble_blocks(self.autoencoder.decode(latents), grid)

@@ -47,6 +47,7 @@ from repro.quantization.linear import (
     dequantize_prediction_errors,
     quantize_prediction_errors,
 )
+from repro.quantization.uniform import UniformQuantizer
 from repro.registry import register_compressor
 from repro.utils.validation import ensure_float_array, ensure_positive, value_range
 
@@ -229,26 +230,17 @@ class AESZCompressor(Compressor):
         return trainer.fit(all_blocks[:, None, ...])
 
     # ------------------------------------------------------------- prediction
-    def _ae_predictions(self, blocks: np.ndarray, latent_error_bound: float,
-                        batch: int = 512) -> Tuple[np.ndarray, np.ndarray]:
+    def _ae_predictions(self, blocks: np.ndarray, latent_error_bound: float
+                        ) -> Tuple[np.ndarray, np.ndarray]:
         """Encode blocks, lossily compress latents, decode predictions.
 
         Returns ``(latents, predictions)`` where ``predictions`` come from the
-        *decompressed* latents (exactly what the decompressor will see).
+        *decompressed* latents (exactly what the decompressor will see; the
+        autoencoder computes a block the same way in any batch).
         """
-        latents = np.concatenate(
-            [self.autoencoder.encode(blocks[start:start + batch])
-             for start in range(0, blocks.shape[0], batch)], axis=0)
-        from repro.quantization.uniform import UniformQuantizer
-
+        latents = self.autoencoder.encode(blocks)
         decoded_latents = UniformQuantizer(latent_error_bound).roundtrip(latents)[1]
-        return latents, self._decode_latents(decoded_latents, batch)
-
-    def _decode_latents(self, decoded_latents: np.ndarray, batch: int = 512) -> np.ndarray:
-        preds = []
-        for start in range(0, decoded_latents.shape[0], batch):
-            preds.append(self.autoencoder.decode(decoded_latents[start:start + batch]))
-        return np.concatenate(preds, axis=0)
+        return latents, self.autoencoder.decode(decoded_latents)
 
     # --------------------------------------------------------------- compress
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
@@ -403,7 +395,7 @@ class AESZCompressor(Compressor):
 
         if ae_idx.size:
             decoded_latents = self.latent_codec.decompress(container["latents"])
-            ae_pred = self._decode_latents(decoded_latents)
+            ae_pred = self.autoencoder.decode(decoded_latents)
             codes = self._entropy.decode(container["ae_codes"]).reshape(
                 (ae_idx.size,) + block_shape)
             unpred = np.frombuffer(self._backend.decompress(container["ae_unpred"]),

@@ -1,11 +1,11 @@
 """im2col / col2im kernels for N-dimensional convolutions.
 
-Convolutions in :mod:`repro.nn.layers.conv` are expressed as a single matrix
-multiplication over patch matrices.  The patch extraction uses
-``numpy.lib.stride_tricks.sliding_window_view`` (zero-copy) and the inverse
-``col2im`` accumulates contributions with a small loop over kernel offsets
-(at most ``3**d`` iterations for the 3x3 / 3x3x3 kernels used by AE-SZ), which
-is fully vectorized over batch, channels and spatial positions.
+Convolutions in :mod:`repro.nn.layers.conv` are expressed as one matrix
+multiplication per block over patch matrices.  Both directions loop over the
+kernel offsets (at most ``3**d`` iterations for the 3x3 / 3x3x3 kernels used
+by AE-SZ) and move one strided, fully vectorized slice per offset: ``im2col``
+copies it into the patch matrix, its adjoint ``col2im`` accumulates it into a
+batch-innermost buffer.
 
 The functions support arbitrary spatial dimensionality (1, 2 or 3 in this
 library) with per-axis stride and padding.
@@ -17,7 +17,6 @@ from itertools import product
 from typing import Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _normalize(value, ndim: int, name: str) -> Tuple[int, ...]:
@@ -69,6 +68,12 @@ def conv_transpose_output_shape(
     return tuple(out)
 
 
+def _windows(offset: Sequence[int], stride: Sequence[int],
+             out_spatial: Sequence[int]) -> Tuple[slice, ...]:
+    """Slices selecting, per axis, the input positions kernel ``offset`` touches."""
+    return tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, stride, out_spatial))
+
+
 def im2col(
     x: np.ndarray,
     kernel: Sequence[int],
@@ -86,33 +91,30 @@ def im2col(
 
     Returns
     -------
-    ndarray of shape ``(N, C * prod(kernel), prod(out_spatial))``.
+    ndarray of shape ``(N, C * prod(kernel), prod(out_spatial))``: every
+    block's ``(C * prod(kernel), L)`` patch matrix is contiguous, so a
+    convolution is one same-shaped GEMM per block.
     """
     ndim = x.ndim - 2
     kernel = _normalize(kernel, ndim, "kernel")
     stride = _normalize(stride, ndim, "stride")
     padding = _normalize(padding, ndim, "padding")
-
-    if any(p > 0 for p in padding):
-        pad_width = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-        x = np.pad(x, pad_width, mode="constant")
-
     n, c = x.shape[:2]
     spatial = x.shape[2:]
-    out_spatial = conv_output_shape(spatial, kernel, stride, (0,) * ndim)
+    out_spatial = conv_output_shape(spatial, kernel, stride, padding)
 
-    # windows: (N, C, *windows_spatial, *kernel)
-    windows = sliding_window_view(x, kernel, axis=tuple(range(2, 2 + ndim)))
-    # subsample by stride on the window axes
-    slicer = (slice(None), slice(None)) + tuple(slice(None, None, st) for st in stride)
-    windows = windows[slicer]
-    # -> (N, C, *kernel, *out_spatial)
-    perm = (0, 1) + tuple(range(2 + ndim, 2 + 2 * ndim)) + tuple(range(2, 2 + ndim))
-    windows = windows.transpose(perm)
-    cols = np.ascontiguousarray(windows).reshape(
-        n, c * int(np.prod(kernel)), int(np.prod(out_spatial))
-    )
-    return cols
+    if any(padding):
+        xp = np.zeros((n, c) + tuple(s + 2 * p for s, p in zip(spatial, padding)), dtype=x.dtype)
+        xp[(slice(None), slice(None)) + tuple(slice(p, p + s) for p, s in zip(padding, spatial))] = x
+    else:
+        xp = x
+
+    # One strided copy per kernel offset, straight into the patch matrix.
+    cols = np.empty((n, c) + kernel + out_spatial, dtype=x.dtype)
+    for offset in product(*(range(k) for k in kernel)):
+        cols[(slice(None), slice(None)) + offset] = xp[
+            (slice(None), slice(None)) + _windows(offset, stride, out_spatial)]
+    return cols.reshape(n, c * int(np.prod(kernel)), int(np.prod(out_spatial)))
 
 
 def col2im(
@@ -127,6 +129,12 @@ def col2im(
     This is the exact adjoint of :func:`im2col` (overlapping contributions are
     summed), which is what the convolution backward pass and the transposed
     convolution forward pass require.
+
+    The accumulator is laid out batch-innermost, ``(C, *padded_spatial, N)``:
+    each of the ``prod(kernel)`` strided ``+=`` then runs an ``N``-long
+    contiguous inner loop instead of one as short as the last spatial axis
+    (2-8 elements in AE-SZ's networks).  Every element still receives its
+    contributions in kernel-offset order, whatever ``N`` is.
 
     Parameters
     ----------
@@ -145,19 +153,11 @@ def col2im(
     padded_spatial = tuple(s + 2 * p for s, p in zip(spatial, padding))
     out_spatial = conv_output_shape(padded_spatial, kernel, stride, (0,) * ndim)
 
-    cols = cols.reshape((n, c) + kernel + out_spatial)
-    out = np.zeros((n, c) + padded_spatial, dtype=cols.dtype)
-
-    # Accumulate one kernel offset at a time; each assignment is a strided,
-    # fully vectorized slice covering every output position.
+    # (C, *kernel, *out_spatial, N) view of the columns.
+    src = np.moveaxis(cols.reshape((n, c) + kernel + out_spatial), 0, -1)
+    acc = np.zeros((c,) + padded_spatial + (n,), dtype=cols.dtype)
     for offset in product(*(range(k) for k in kernel)):
-        src = cols[(slice(None), slice(None)) + offset]
-        dst_slices = tuple(
-            slice(o, o + st * osz, st) for o, st, osz in zip(offset, stride, out_spatial)
-        )
-        out[(slice(None), slice(None)) + dst_slices] += src
+        acc[(slice(None),) + _windows(offset, stride, out_spatial)] += src[(slice(None),) + offset]
 
-    if any(p > 0 for p in padding):
-        unpad = tuple(slice(p, p + s) for p, s in zip(padding, spatial))
-        out = out[(slice(None), slice(None)) + unpad]
-    return out
+    interior = tuple(slice(p, p + s) for p, s in zip(padding, spatial))
+    return np.ascontiguousarray(np.moveaxis(acc[(slice(None),) + interior], -1, 0))

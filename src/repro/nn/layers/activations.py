@@ -1,4 +1,8 @@
-"""Pointwise activation layers."""
+"""Pointwise activation layers.
+
+Each layer keeps what its ``backward`` needs only when ``training`` resolves
+to true; an inference-mode ``forward`` leaves no activation behind.
+"""
 
 from __future__ import annotations
 
@@ -17,8 +21,9 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if self._resolve_training(training) else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -35,8 +40,9 @@ class LeakyReLU(Module):
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        self._mask = mask if self._resolve_training(training) else None
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -51,8 +57,9 @@ class Tanh(Module):
         self._out = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        self._out = np.tanh(np.asarray(x, dtype=np.float64))
-        return self._out
+        out = np.tanh(np.asarray(x, dtype=np.float64))
+        self._out = out if self._resolve_training(training) else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -68,8 +75,9 @@ class Sigmoid(Module):
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        self._out = 1.0 / (1.0 + np.exp(-x))
-        return self._out
+        out = 1.0 / (1.0 + np.exp(-x))
+        self._out = out if self._resolve_training(training) else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._out is None:

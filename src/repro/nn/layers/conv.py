@@ -17,9 +17,12 @@ IntOrSeq = Union[int, Sequence[int]]
 class ConvNd(Module):
     """N-dimensional convolution over inputs of shape ``(N, C, *spatial)``.
 
-    The forward pass is a single batched matmul over im2col patch matrices;
-    the backward pass computes weight gradients with the transposed patch
-    matrix and input gradients with :func:`repro.nn.im2col.col2im`.
+    The forward pass is one same-shaped GEMM per block over im2col patch
+    matrices (``np.matmul`` of the flattened weight against ``(N, C*K, L)``),
+    so a block's output does not depend on what else is in the batch; the
+    backward pass computes weight gradients with the transposed patch matrix
+    and input gradients with :func:`repro.nn.im2col.col2im`.  The patch
+    matrix is kept for ``backward`` only when ``training`` resolves to true.
     """
 
     def __init__(
@@ -75,10 +78,10 @@ class ConvNd(Module):
         out_spatial = self.output_spatial(x.shape[2:])
         cols = im2col(x, self.kernel_size, self.stride, self.padding)
         w_flat = self.weight.value.reshape(self.out_channels, -1)
-        out = np.einsum("fk,nkl->nfl", w_flat, cols, optimize=True)
+        out = np.matmul(w_flat, cols)
         if self.bias is not None:
             out += self.bias.value[None, :, None]
-        self._cache = (cols, x.shape, out_spatial)
+        self._cache = (cols, x.shape, out_spatial) if self._resolve_training(training) else None
         return out.reshape((n, self.out_channels) + out_spatial)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -89,12 +92,12 @@ class ConvNd(Module):
         grad = np.asarray(grad, dtype=np.float64).reshape(n, self.out_channels, -1)
 
         w_flat = self.weight.value.reshape(self.out_channels, -1)
-        dw = np.einsum("nfl,nkl->fk", grad, cols, optimize=True)
+        dw = np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += dw.reshape(self.weight.value.shape)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(0, 2))
 
-        dcols = np.einsum("fk,nfl->nkl", w_flat, grad, optimize=True)
+        dcols = np.matmul(w_flat.T, grad)
         return col2im(dcols, x_shape, self.kernel_size, self.stride, self.padding)
 
 

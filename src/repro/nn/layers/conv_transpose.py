@@ -26,7 +26,13 @@ IntOrSeq = Union[int, Sequence[int]]
 
 
 class ConvTransposeNd(Module):
-    """N-dimensional transposed convolution over inputs ``(N, C, *spatial)``."""
+    """N-dimensional transposed convolution over inputs ``(N, C, *spatial)``.
+
+    The forward pass is one same-shaped GEMM per block (flattened weight
+    against ``(N, C_in, L)``) followed by the ``col2im`` scatter-add, so a
+    block's output does not depend on what else is in the batch.  The input is
+    kept for ``backward`` only when ``training`` resolves to true.
+    """
 
     def __init__(
         self,
@@ -89,7 +95,7 @@ class ConvTransposeNd(Module):
 
         x_flat = x.reshape(n, self.in_channels, -1)
         w_flat = self.weight.value.reshape(self.in_channels, -1)  # (C_in, C_out*prod(k))
-        cols = np.einsum("ck,ncl->nkl", w_flat, x_flat, optimize=True)
+        cols = np.matmul(w_flat.T, x_flat)
         out = col2im(
             cols,
             (n, self.out_channels) + out_spatial,
@@ -99,7 +105,8 @@ class ConvTransposeNd(Module):
         )
         if self.bias is not None:
             out += self.bias.value.reshape((1, self.out_channels) + (1,) * self.ndim)
-        self._cache = (x_flat, (n,) + in_spatial, out_spatial)
+        self._cache = ((x_flat, (n,) + in_spatial, out_spatial)
+                       if self._resolve_training(training) else None)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -115,10 +122,10 @@ class ConvTransposeNd(Module):
 
         dcols = im2col(grad, self.kernel_size, self.stride, self.padding)
         w_flat = self.weight.value.reshape(self.in_channels, -1)
-        dw = np.einsum("ncl,nkl->ck", x_flat, dcols, optimize=True)
+        dw = np.matmul(x_flat, dcols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += dw.reshape(self.weight.value.shape)
 
-        dx_flat = np.einsum("ck,nkl->ncl", w_flat, dcols, optimize=True)
+        dx_flat = np.matmul(w_flat, dcols)
         return dx_flat.reshape((n, self.in_channels) + in_spatial)
 
 

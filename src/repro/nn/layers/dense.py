@@ -12,7 +12,18 @@ from repro.utils.rng import SeedLike, as_rng
 
 
 class Dense(Module):
-    """Affine transform ``y = x @ W + b`` on inputs of shape ``(N, in_features)``."""
+    """Affine transform ``y = x @ W + b`` on inputs of shape ``(N, in_features)``.
+
+    The forward product is taken one row at a time — ``np.matmul`` over the
+    stacked ``(N, 1, in_features)`` view runs the same ``(1, in) @ (in, out)``
+    product for every row — so a row's output is bitwise independent of the
+    batch it arrives in.  A single ``(N, in) @ (in, out)`` GEMM is not: BLAS
+    picks its kernel (and with it the summation order) from ``N``, e.g. the
+    gemv path for ``N == 1``.  AE-SZ relies on this: the decompressor decodes
+    the AE-selected blocks in a different batch than the compressor predicted
+    them in.  The input is kept for ``backward`` only when ``training``
+    resolves to true.
+    """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True, rng: SeedLike = None):
         if in_features <= 0 or out_features <= 0:
@@ -33,10 +44,10 @@ class Dense(Module):
             raise ValueError(
                 f"Dense expected input of shape (N, {self.in_features}), got {x.shape}"
             )
-        self._cache_x = x
-        out = x @ self.weight.value
+        self._cache_x = x if self._resolve_training(training) else None
+        out = np.matmul(x[:, None, :], self.weight.value)[:, 0, :]
         if self.bias is not None:
-            out = out + self.bias.value
+            out += self.bias.value
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -42,14 +42,24 @@ class _GDNBase(Module):
         """Compute u_i = beta_i + sum_j gamma_ij x_j^2 and z_i = sqrt(u_i).
 
         ``x`` has shape ``(N, C, *spatial)``; the sum runs over channels at
-        every spatial location independently.
+        every spatial location independently — one ``(C, C) @ (C, L)`` GEMM
+        per block, so a block's result does not depend on its batch.
         """
         x2 = x * x
-        u = np.einsum("ij,nj...->ni...", self.gamma.value, x2, optimize=True)
+        u = np.matmul(self.gamma.value, x2.reshape(x.shape[0], self.channels, -1)).reshape(x.shape)
         u += self.beta.value.reshape((1, self.channels) + (1,) * (x.ndim - 2))
         np.maximum(u, self.beta_min, out=u)
         z = np.sqrt(u)
         return x2, u, z
+
+    def _pool_backward(self, du: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Accumulate the beta/gamma gradients of ``u``; return ``sum_i du_i gamma_ik``."""
+        shape = du.shape
+        du = du.reshape(shape[0], self.channels, -1)
+        x2 = x2.reshape(du.shape)
+        self.beta.grad += du.sum(axis=(0, 2))
+        self.gamma.grad += np.matmul(du, x2.transpose(0, 2, 1)).sum(axis=0)
+        return np.matmul(self.gamma.value.T, du).reshape(shape)
 
 
 class GDN(_GDNBase):
@@ -60,27 +70,20 @@ class GDN(_GDNBase):
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ValueError(f"GDN expected {self.channels} channels, got input shape {x.shape}")
         x2, u, z = self._norm_pool(x)
-        y = x / z
-        self._cache = (x, x2, u, z)
-        return y
+        self._cache = (x, x2, u, z) if self._resolve_training(training) else None
+        return x / z
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, x2, u, z = self._cache
         grad = np.asarray(grad, dtype=np.float64)
-        spatial_axes = tuple(range(2, x.ndim))
 
         # dL/du_i = g_i * x_i * (-1/2) * u_i^{-3/2}
         du = grad * x * (-0.5) * u ** (-1.5)
 
-        # Parameter gradients.
-        self.beta.grad += du.sum(axis=(0,) + spatial_axes)
-        self.gamma.grad += np.einsum("ni...,nj...->ij", du, x2, optimize=True)
-
         # Input gradient: g_k / z_k + 2 x_k * sum_i du_i * gamma_ik
-        s = np.einsum("ij,ni...->nj...", self.gamma.value, du, optimize=True)
-        return grad / z + 2.0 * x * s
+        return grad / z + 2.0 * x * self._pool_backward(du, x2)
 
 
 class IGDN(_GDNBase):
@@ -91,22 +94,16 @@ class IGDN(_GDNBase):
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ValueError(f"IGDN expected {self.channels} channels, got input shape {x.shape}")
         x2, u, z = self._norm_pool(x)
-        y = x * z
-        self._cache = (x, x2, u, z)
-        return y
+        self._cache = (x, x2, u, z) if self._resolve_training(training) else None
+        return x * z
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, x2, u, z = self._cache
         grad = np.asarray(grad, dtype=np.float64)
-        spatial_axes = tuple(range(2, x.ndim))
 
         # dL/du_i = g_i * x_i * (1/2) * u_i^{-1/2}
         du = grad * x * 0.5 / z
 
-        self.beta.grad += du.sum(axis=(0,) + spatial_axes)
-        self.gamma.grad += np.einsum("ni...,nj...->ij", du, x2, optimize=True)
-
-        s = np.einsum("ij,ni...->nj...", self.gamma.value, du, optimize=True)
-        return grad * z + 2.0 * x * s
+        return grad * z + 2.0 * x * self._pool_backward(du, x2)
