@@ -25,7 +25,7 @@ from repro import AESZCompressor, AESZConfig
 from repro.analysis import format_table
 from repro.autoencoders import AE_REGISTRY, AutoencoderConfig, create_autoencoder
 from repro.core.blocking import split_into_blocks
-from repro.data import train_test_snapshots
+from repro.data import load_training_blocks, train_test_snapshots
 from repro.metrics import prediction_psnr
 from repro.nn import Trainer, TrainingConfig
 
@@ -35,16 +35,9 @@ BLOCK = 16
 TRAINING = TrainingConfig(epochs=6, batch_size=32, learning_rate=2e-3, seed=0)
 
 
-def training_blocks(train):
-    blocks = np.concatenate([split_into_blocks(t.astype(np.float64), BLOCK)[0] for t in train])
-    rng = np.random.default_rng(0)
-    idx = rng.choice(blocks.shape[0], size=min(384, blocks.shape[0]), replace=False)
-    return blocks[idx][:, None, ...]
-
-
 def main() -> None:
     train, test = train_test_snapshots(FIELD, shape=SHAPE, train_limit=2, test_limit=1)
-    blocks_train = training_blocks(train)
+    blocks_train = load_training_blocks(FIELD, BLOCK, max_blocks=384, shape=SHAPE, train_limit=2)
     blocks_test, _ = split_into_blocks(test[0].astype(np.float64), BLOCK)
 
     # --- Table I style comparison -------------------------------------------

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autoencoders import (
-    AutoencoderConfig,
-    FullyConnectedAutoencoder,
-    ResidualConvAutoencoder,
-    create_autoencoder,
-)
+from repro.autoencoders import AutoencoderConfig, create_autoencoder
 from repro.compressors import AEACompressor, AEBCompressor
 from repro.core import AESZCompressor, AESZConfig, default_autoencoder_config
 from repro.registry import get_compressor
@@ -50,7 +45,7 @@ def default_error_bounds(high_ratio_only: bool = False) -> Tuple[float, ...]:
 class TrainingBudget:
     """How much CPU training each cached model gets (scaled-down defaults)."""
 
-    epochs: int = 12
+    epochs: int = 20
     batch_size: int = 32
     learning_rate: float = 2e-3
     max_blocks: int = 768
@@ -71,83 +66,53 @@ class ModelCache:
         self.budget = budget or TrainingBudget()
         self.seed = int(seed)
 
-    # ------------------------------------------------------------------ paths
-    def _model_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.npz"
-
-    def _meta_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
-
-    def _key(self, kind: str, field_name: str, config: Mapping) -> str:
+    def _trained(self, kind: str, field_name: str, config: Mapping, compressor,
+                 max_samples: int, shape: Optional[Sequence[int]]):
+        """Load ``compressor``'s autoencoder from the cache, or train it on the
+        field's training snapshots under the budget and save it."""
+        config = {**config, **asdict(self.budget),
+                  "shape": list(shape) if shape is not None else None}
         blob = json.dumps({"kind": kind, "field": field_name, "config": config}, sort_keys=True)
-        return f"{kind}-{field_name}-{derive_seed(self.seed, blob):08x}"
+        stem = f"{kind}-{field_name}-{derive_seed(self.seed, blob):08x}"
+        path = self.cache_dir / f"{stem}.npz"
+        if path.exists():
+            compressor.autoencoder.load(path)
+            return compressor
+        train, _ = train_test_snapshots(field_name, shape=shape, seed=self.seed,
+                                        train_limit=self.budget.train_snapshot_limit)
+        compressor.train(train, self.budget.to_training_config(self.seed), max_samples,
+                         seed=self.seed)
+        compressor.autoencoder.save(path)
+        (self.cache_dir / f"{stem}.json").write_text(json.dumps(config, indent=2))
+        return compressor
 
-    # ------------------------------------------------------------- SWAE model
     def swae_for_field(self, field_name: str, ae_kind: str = "swae",
                        config: Optional[AutoencoderConfig] = None,
                        shape: Optional[Sequence[int]] = None):
         """Return a trained blockwise autoencoder for ``field_name`` (cached)."""
         if config is None:
             config = default_autoencoder_config(field_name, scaled=True, seed=self.seed)
-        cfg_dict = {
-            "ndim": config.ndim, "block_size": config.block_size,
-            "latent_size": config.latent_size, "channels": list(config.channels),
-            "epochs": self.budget.epochs, "max_blocks": self.budget.max_blocks,
-            "shape": list(shape) if shape is not None else None,
-        }
-        key = self._key(ae_kind, field_name, cfg_dict)
-        model = create_autoencoder(ae_kind, config)
-        path = self._model_path(key)
-        if path.exists():
-            model.load(path)
-            return model
+        cfg = {"ndim": config.ndim, "block_size": config.block_size,
+               "latent_size": config.latent_size, "channels": list(config.channels)}
+        compressor = AESZCompressor(create_autoencoder(ae_kind, config),
+                                    AESZConfig(block_size=config.block_size))
+        return self._trained(ae_kind, field_name, cfg, compressor, self.budget.max_blocks,
+                             shape).autoencoder
 
-        train, _ = train_test_snapshots(field_name, shape=shape, seed=self.seed,
-                                        train_limit=self.budget.train_snapshot_limit)
-        compressor = AESZCompressor(model, AESZConfig(block_size=config.block_size))
-        compressor.train(train, self.budget.to_training_config(self.seed),
-                         max_blocks=self.budget.max_blocks, seed=self.seed)
-        model.save(path)
-        self._meta_path(key).write_text(json.dumps(cfg_dict, indent=2))
-        return model
-
-    # ------------------------------------------------------------ comparators
     def ae_a_for_field(self, field_name: str, segment_length: int = 512,
                        shape: Optional[Sequence[int]] = None) -> AEACompressor:
         """Trained AE-A comparator compressor for ``field_name`` (cached)."""
-        cfg = {"segment_length": segment_length, "epochs": self.budget.epochs,
-               "shape": list(shape) if shape is not None else None}
-        key = self._key("aea", field_name, cfg)
         compressor = AEACompressor(segment_length=segment_length, seed=self.seed)
-        path = self._model_path(key)
-        if path.exists():
-            compressor.autoencoder.load(path)
-            return compressor
-        train, _ = train_test_snapshots(field_name, shape=shape, seed=self.seed,
-                                        train_limit=self.budget.train_snapshot_limit)
-        compressor.train(train, self.budget.to_training_config(self.seed),
-                         max_segments=self.budget.max_blocks, seed=self.seed)
-        compressor.autoencoder.save(path)
-        return compressor
+        return self._trained("aea", field_name, {"segment_length": segment_length}, compressor,
+                             self.budget.max_blocks, shape)
 
     def ae_b_for_field(self, field_name: str, block_size: int = 16,
                        shape: Optional[Sequence[int]] = None) -> AEBCompressor:
         """Trained AE-B comparator compressor (3D fields only, as in the paper)."""
         ndim = FIELDS[field_name].dimensionality
-        cfg = {"block_size": block_size, "ndim": ndim, "epochs": self.budget.epochs,
-               "shape": list(shape) if shape is not None else None}
-        key = self._key("aeb", field_name, cfg)
         compressor = AEBCompressor(block_size=block_size, ndim=ndim, seed=self.seed)
-        path = self._model_path(key)
-        if path.exists():
-            compressor.autoencoder.load(path)
-            return compressor
-        train, _ = train_test_snapshots(field_name, shape=shape, seed=self.seed,
-                                        train_limit=self.budget.train_snapshot_limit)
-        compressor.train(train, self.budget.to_training_config(self.seed),
-                         max_blocks=min(512, self.budget.max_blocks), seed=self.seed)
-        compressor.autoencoder.save(path)
-        return compressor
+        return self._trained("aeb", field_name, {"block_size": block_size, "ndim": ndim},
+                             compressor, min(512, self.budget.max_blocks), shape)
 
 
 def build_aesz_for_field(field_name: str, cache: Optional[ModelCache] = None,
@@ -171,11 +136,7 @@ def baseline_compressors(include_interp: bool = True, include_auto: bool = True)
         names.append("szauto")
     if include_interp:
         names.append("szinterp")
-    out: Dict[str, object] = {}
-    for name in names:
-        comp = get_compressor(name)
-        out[comp.name] = comp
-    return out
+    return {comp.name: comp for comp in map(get_compressor, names)}
 
 
 def run_rate_distortion(compressors: Mapping[str, object], data: np.ndarray,

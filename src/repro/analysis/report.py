@@ -1,10 +1,8 @@
-"""Aggregate benchmark CSVs into a single Markdown reproduction report.
+"""Render experiment tables into the Markdown reproduction page.
 
-After ``pytest benchmarks/ --benchmark-only`` has populated
-``benchmarks/results/``, this module (also runnable as
-``python -m repro.analysis.report``) collects every CSV into one
-human-readable Markdown document — handy for attaching a reproduction summary
-to an issue or paper review without re-running anything.
+``benchmarks/paper/run.py`` hands its in-memory tables and check verdicts to
+:func:`write_report`, which writes the committed ``docs/results.md``; a
+directory of ``<experiment id>.csv`` files renders through the same code.
 """
 
 from __future__ import annotations
@@ -12,11 +10,11 @@ from __future__ import annotations
 import csv
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 PathLike = Union[str, os.PathLike]
 
-# Paper artefact each results file corresponds to (used for section headers).
+# The paper's experiments, in page order: experiment id -> section header.
 SECTION_TITLES = {
     "table1_ae_types": "Table I — prediction PSNR of autoencoder types",
     "table2_block_sizes": "Table II — block-size study",
@@ -32,6 +30,14 @@ SECTION_TITLES = {
     "ablation_pipeline": "Extra — pipeline ablations",
 }
 
+_PREAMBLE = (
+    "# AE-SZ reproduction results\n\n"
+    "Generated by `python3 benchmarks/paper/run.py`; do not edit by hand. The\n"
+    "numbers come from synthetic SDRBench-like fields and scaled-down networks\n"
+    "(see [Substitutions](architecture.md#substitutions)), so they are compared\n"
+    "with the paper by shape, not by value; ratios count the original at 4 bytes\n"
+    "per value.\n")
+
 
 def read_results_csv(path: PathLike) -> List[Dict[str, str]]:
     """Read one benchmark CSV into a list of row dicts (strings preserved)."""
@@ -39,7 +45,7 @@ def read_results_csv(path: PathLike) -> List[Dict[str, str]]:
         return list(csv.DictReader(handle))
 
 
-def _markdown_table(rows: Sequence[Dict[str, str]], max_rows: Optional[int] = None) -> str:
+def _markdown_table(rows: Sequence[Mapping], max_rows: Optional[int] = None) -> str:
     if not rows:
         return "_(empty)_"
     columns = list(rows[0].keys())
@@ -47,58 +53,42 @@ def _markdown_table(rows: Sequence[Dict[str, str]], max_rows: Optional[int] = No
     lines = ["| " + " | ".join(columns) + " |",
              "|" + "|".join("---" for _ in columns) + "|"]
     for row in shown:
-        lines.append("| " + " | ".join(str(row.get(c, "")) for c in columns) + " |")
+        cells = (row.get(c, "") for c in columns)
+        lines.append("| " + " | ".join(format(v, ".5g") if isinstance(v, float) else str(v)
+                                       for v in cells) + " |")
     if max_rows is not None and len(rows) > max_rows:
         lines.append(f"\n_... {len(rows) - max_rows} more rows in the CSV._")
     return "\n".join(lines)
 
 
-def generate_report(results_dir: PathLike, max_rows_per_table: int = 40) -> str:
-    """Build the Markdown report from every known CSV in ``results_dir``."""
-    results_dir = Path(results_dir)
-    if not results_dir.is_dir():
-        raise FileNotFoundError(f"results directory {results_dir} does not exist; "
-                                "run `pytest benchmarks/ --benchmark-only` first")
-    sections = []
-    sections.append("# AE-SZ reproduction results\n")
-    sections.append(f"Generated from CSVs in `{results_dir}`.\n")
-    found_any = False
+def generate_report(results: Union[PathLike, Mapping[str, Sequence[Mapping]]],
+                    checks: Sequence[Mapping] = (),
+                    max_rows_per_table: Optional[int] = None) -> str:
+    """Build the Markdown page: a leading "Checks" table when ``checks`` has
+    rows, then one section per experiment present in ``results`` — an
+    ``{experiment id: rows}`` mapping or a directory of ``<id>.csv`` files."""
+    if not isinstance(results, Mapping):
+        results_dir = Path(results)
+        if not results_dir.is_dir():
+            raise FileNotFoundError(f"results directory {results_dir} does not exist")
+        results = {stem: read_results_csv(results_dir / f"{stem}.csv")
+                   for stem in SECTION_TITLES if (results_dir / f"{stem}.csv").exists()}
+        if not results:
+            raise FileNotFoundError(f"no known benchmark CSVs found in {results_dir}")
+    sections = [_PREAMBLE]
+    if checks:
+        sections += ["## Checks\n", _markdown_table(checks), ""]
     for stem, title in SECTION_TITLES.items():
-        path = results_dir / f"{stem}.csv"
-        if not path.exists():
-            continue
-        found_any = True
-        rows = read_results_csv(path)
-        sections.append(f"## {title}\n")
-        sections.append(_markdown_table(rows, max_rows=max_rows_per_table))
-        sections.append("")
-    if not found_any:
-        raise FileNotFoundError(f"no known benchmark CSVs found in {results_dir}")
+        if stem in results:
+            sections += [f"## {title}\n", _markdown_table(results[stem], max_rows_per_table), ""]
     return "\n".join(sections)
 
 
-def write_report(results_dir: PathLike, output_path: PathLike,
-                 max_rows_per_table: int = 40) -> Path:
-    """Write the Markdown report to ``output_path`` and return the path."""
+def write_report(results: Union[PathLike, Mapping[str, Sequence[Mapping]]],
+                 output_path: PathLike, checks: Sequence[Mapping] = (),
+                 max_rows_per_table: Optional[int] = None) -> Path:
+    """Write the Markdown page to ``output_path`` and return the path."""
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    output_path.write_text(generate_report(results_dir, max_rows_per_table))
+    output_path.write_text(generate_report(results, checks, max_rows_per_table))
     return output_path
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - thin wrapper
-    import argparse
-
-    default_results = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--results-dir", default=str(default_results))
-    parser.add_argument("--output", default=str(default_results / "REPORT.md"))
-    parser.add_argument("--max-rows", type=int, default=40)
-    args = parser.parse_args(argv)
-    path = write_report(args.results_dir, args.output, args.max_rows)
-    print(f"report written to {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

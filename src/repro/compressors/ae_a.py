@@ -23,7 +23,7 @@ from repro.nn.serialization import (
     fingerprint_with_norm,
     restore_archived_model,
 )
-from repro.nn.training import Trainer, TrainingConfig
+from repro.nn.training import TrainingConfig, fit_autoencoder
 from repro.registry import register_compressor
 from repro.utils.validation import value_range
 
@@ -47,17 +47,9 @@ class AEACompressor(Compressor):
               training: Optional[TrainingConfig] = None, max_segments: int = 4096,
               seed: int = 0):
         """Train the fully-connected AE on flattened 1-D segments."""
-        segments = []
-        for snapshot in snapshots:
-            segments.append(self._segment(np.asarray(snapshot, dtype=np.float64)))
-        all_segments = np.concatenate(segments, axis=0)
-        if all_segments.shape[0] > max_segments:
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(all_segments.shape[0], size=max_segments, replace=False)
-            all_segments = all_segments[idx]
-        self.autoencoder.fit_normalization(all_segments)
-        trainer = Trainer(self.autoencoder, config=training or TrainingConfig())
-        return trainer.fit(all_segments[:, None, :])
+        segments = [self._segment(np.asarray(snapshot, dtype=np.float64))
+                    for snapshot in snapshots]
+        return fit_autoencoder(self.autoencoder, segments, training, max_segments, seed)
 
     # ------------------------------------------------------- archive support
     def archive_state(self, embed_model: bool = True) -> Tuple[dict, Dict[str, bytes]]:
@@ -91,8 +83,10 @@ class AEACompressor(Compressor):
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
         data, abs_eb = self._checked_input(data, rel_error_bound)
         segments = self._segment(data)
-        latents = self.autoencoder.encode(segments)
-        ae_recon = self.autoencoder.decode(latents)
+        # Predict from the float32 latents the decoder will read, or the stored
+        # residual corrects a reconstruction the decoder never sees.
+        latents = self.autoencoder.encode(segments).astype(np.float32)
+        ae_recon = self.autoencoder.decode(latents.astype(np.float64))
         flat_recon = ae_recon.ravel()[: data.size].reshape(data.shape)
 
         residual = data - flat_recon
@@ -108,7 +102,7 @@ class AEACompressor(Compressor):
             "n_segments": int(segments.shape[0]),
             "rel_error_bound": float(rel_error_bound),
         })
-        container["latents"] = latents.astype(np.float32).tobytes()
+        container["latents"] = latents.tobytes()
         container["residual"] = residual_payload
         return container.to_bytes()
 

@@ -21,7 +21,7 @@ from repro.nn.serialization import (
     fingerprint_with_norm,
     restore_archived_model,
 )
-from repro.nn.training import Trainer, TrainingConfig
+from repro.nn.training import TrainingConfig, fit_autoencoder
 from repro.registry import register_compressor
 from repro.utils.validation import ensure_float_array
 
@@ -43,19 +43,9 @@ class AEBCompressor(Compressor):
               training: Optional[TrainingConfig] = None, max_blocks: int = 2048,
               seed: int = 0):
         """Fine-tune / train the residual AE on snapshot blocks."""
-        blocks_list = []
-        for snapshot in snapshots:
-            blocks, _ = split_into_blocks(np.asarray(snapshot, dtype=np.float64),
-                                          self.block_size)
-            blocks_list.append(blocks)
-        all_blocks = np.concatenate(blocks_list, axis=0)
-        if all_blocks.shape[0] > max_blocks:
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(all_blocks.shape[0], size=max_blocks, replace=False)
-            all_blocks = all_blocks[idx]
-        self.autoencoder.fit_normalization(all_blocks)
-        trainer = Trainer(self.autoencoder, config=training or TrainingConfig())
-        return trainer.fit(all_blocks[:, None, ...])
+        blocks = [split_into_blocks(np.asarray(snapshot, dtype=np.float64),
+                                    self.block_size)[0] for snapshot in snapshots]
+        return fit_autoencoder(self.autoencoder, blocks, training, max_blocks, seed)
 
     @property
     def fixed_compression_ratio(self) -> float:

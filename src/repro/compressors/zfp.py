@@ -15,7 +15,7 @@ This reproduction keeps the structure that matters for the paper's comparison
 The embedded bit-plane coder of real ZFP achieves somewhat better ratios at a
 given tolerance, but the qualitative behaviour (transform coding that trails
 prediction-based compressors at high compression ratios on these fields) is
-preserved — see DESIGN.md.
+preserved — see "Substitutions" in docs/architecture.md.
 """
 
 from __future__ import annotations

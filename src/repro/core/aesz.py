@@ -37,7 +37,7 @@ from repro.nn.serialization import (
     fingerprint_with_norm,
     restore_archived_model,
 )
-from repro.nn.training import Trainer, TrainingConfig
+from repro.nn.training import TrainingConfig, fit_autoencoder
 from repro.predictors.lorenzo import (
     _batched_lorenzo_inverse,
     _batched_lorenzo_predict,
@@ -215,19 +215,9 @@ class AESZCompressor(Compressor):
               training: Optional[TrainingConfig] = None,
               max_blocks: int = 4096, seed: int = 0):
         """Train the autoencoder on snapshot blocks (offline stage of Fig. 2)."""
-        blocks_list = []
-        for snapshot in snapshots:
-            blocks, _ = split_into_blocks(np.asarray(snapshot, dtype=np.float64),
-                                          self.config.block_size)
-            blocks_list.append(blocks)
-        all_blocks = np.concatenate(blocks_list, axis=0)
-        if all_blocks.shape[0] > max_blocks:
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(all_blocks.shape[0], size=max_blocks, replace=False)
-            all_blocks = all_blocks[idx]
-        self.autoencoder.fit_normalization(all_blocks)
-        trainer = Trainer(self.autoencoder, config=training or TrainingConfig())
-        return trainer.fit(all_blocks[:, None, ...])
+        blocks = [split_into_blocks(np.asarray(snapshot, dtype=np.float64),
+                                    self.config.block_size)[0] for snapshot in snapshots]
+        return fit_autoencoder(self.autoencoder, blocks, training, max_blocks, seed)
 
     # ------------------------------------------------------------- prediction
     def _ae_predictions(self, blocks: np.ndarray, latent_error_bound: float

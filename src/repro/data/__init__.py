@@ -5,8 +5,8 @@ Hurricane ISABEL, EXAFEL).  Those datasets cannot be downloaded in this offline
 environment, so this package generates synthetic fields that mimic each
 application's spatial statistics — multi-scale smoothness, sharp localized
 features, value ranges and temporal evolution across snapshots — which are the
-properties error-bounded compressors are sensitive to (see DESIGN.md,
-substitution table).
+properties error-bounded compressors are sensitive to (see "Substitutions" in
+docs/architecture.md).
 
 Every generator is deterministic in ``(field, timestep, seed)`` so the
 train/test snapshot splits of paper Table VII can be reproduced exactly.

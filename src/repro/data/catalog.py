@@ -163,15 +163,9 @@ def load_training_blocks(field_name: str, block_size: int, max_blocks: int = 409
     as expected by the autoencoders), normalized later by the AE itself.
     """
     from repro.core.blocking import split_into_blocks
+    from repro.nn.training import pool_samples
 
     train, _ = train_test_snapshots(field_name, shape=shape, seed=seed, train_limit=train_limit)
-    blocks = []
-    for snapshot in train:
-        blk, _ = split_into_blocks(snapshot.astype(np.float64), block_size)
-        blocks.append(blk)
-    all_blocks = np.concatenate(blocks, axis=0)
-    if all_blocks.shape[0] > max_blocks:
-        rng = np.random.default_rng(derive_seed(seed, field_name, "blocks"))
-        idx = rng.choice(all_blocks.shape[0], size=max_blocks, replace=False)
-        all_blocks = all_blocks[idx]
-    return all_blocks[:, None, ...]
+    return pool_samples([split_into_blocks(snapshot.astype(np.float64), block_size)[0]
+                         for snapshot in train],
+                        max_blocks, derive_seed(seed, field_name, "blocks"))

@@ -3,8 +3,8 @@
 AE-SZ's final lossless stage is "Huffman + Zstd" (paper Fig. 2 / Algorithm 1).
 This package provides a from-scratch canonical Huffman coder, a bit-stream
 abstraction, a DEFLATE-based dictionary backend standing in for Zstd
-(documented substitution, see DESIGN.md), and a small container format used to
-serialize compressed streams.
+(see "Substitutions" in docs/architecture.md), and a small container format
+used to serialize compressed streams.
 """
 
 from repro.encoding.bitstream import BitReader, BitWriter, pack_bits, unpack_bits

@@ -19,7 +19,7 @@ class EntropyCodec:
     ----------
     backend:
         Lossless byte backend applied after Huffman coding (``"zlib"``/``"zstd"``
-        by default, per the substitution documented in DESIGN.md).
+        by default, per "Substitutions" in docs/architecture.md).
     use_huffman:
         Disable to study the contribution of the Huffman stage in ablations.
     """

@@ -3,7 +3,7 @@
 The paper's final stage is Zstd.  libzstd is not available offline, so the
 default backend is DEFLATE (``zlib`` from the standard library), which plays
 the same role (LZ77 dictionary matching + entropy coding) on the byte streams
-produced by the Huffman stage; see DESIGN.md for the substitution note.
+produced by the Huffman stage; see "Substitutions" in docs/architecture.md.
 """
 
 from __future__ import annotations

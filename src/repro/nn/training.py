@@ -122,3 +122,25 @@ class Trainer:
                       f"loss={epoch_loss:.6f} ({elapsed:.2f}s)")
         self.model.train(False)
         return history
+
+
+def pool_samples(pieces: Sequence[np.ndarray], max_samples: int, seed: int) -> np.ndarray:
+    """Pool per-snapshot training ``pieces`` (blocks or segments, sample axis
+    first), keep a seeded subsample of at most ``max_samples`` and add the
+    channel axis the autoencoders train on."""
+    samples = np.concatenate(pieces, axis=0)
+    if samples.shape[0] > max_samples:
+        idx = np.random.default_rng(seed).choice(samples.shape[0], size=max_samples,
+                                                 replace=False)
+        samples = samples[idx]
+    return samples[:, None, ...]
+
+
+def fit_autoencoder(autoencoder, pieces: Sequence[np.ndarray],
+                    training: Optional[TrainingConfig], max_samples: int,
+                    seed: int) -> TrainingHistory:
+    """The offline recipe every AE compressor trains by: pool and subsample the
+    pieces, fit the [-1, 1] normalisation on them, run the :class:`Trainer`."""
+    samples = pool_samples(pieces, max_samples, seed)
+    autoencoder.fit_normalization(samples)
+    return Trainer(autoencoder, config=training).fit(samples)

@@ -14,6 +14,7 @@ from repro.compressors import (
 )
 from repro.compressors.sz21 import _sequential_lorenzo_decode, _sequential_lorenzo_encode
 from repro.compressors.zfp import _forward_transform, _inverse_transform, _linf_gain
+from repro.data import load_field_snapshot
 from repro.metrics import psnr, verify_error_bound
 from repro.nn import TrainingConfig
 
@@ -180,6 +181,16 @@ class TestAEAComparator:
         recon = trained_aea.decompress(trained_aea.compress(field_3d, 1e-2))
         assert recon.shape == field_3d.shape
         assert verify_error_bound(field_3d, recon, 1e-2) is None
+
+    def test_bound_held_when_float32_latents_move_the_prediction(self):
+        """The residual must correct the prediction the decoder will make from
+        the float32 latents it reads, not one made from float64 latents: at a
+        tight bound the difference alone used to break the bound (1.0000029x)."""
+        data = load_field_snapshot("Hurricane-U", shape=(20, 64, 64)).astype(np.float64)
+        comp = AEACompressor(segment_length=512, seed=0)
+        comp.autoencoder.fit_normalization(data)
+        recon = comp.decompress(comp.compress(data, 1e-5))
+        assert np.max(np.abs(data - recon)) <= 1e-5 * (data.max() - data.min())
 
 
 class TestAEBComparator:

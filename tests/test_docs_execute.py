@@ -16,9 +16,12 @@ synthetic fields, assert what they claim.  Non-runnable material belongs in
 
 from __future__ import annotations
 
+import ast
+import io
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,24 @@ def test_every_doc_page_is_covered():
     names = {p.name for p in DOC_FILES}
     assert {"README.md", "api.md", "format.md", "architecture.md"} <= names
     assert _blocks(ROOT / "README.md"), "README.md lost its runnable quickstart"
+
+
+def _docstrings_and_comments(path: Path) -> str:
+    source = path.read_text(encoding="utf-8")
+    docstrings = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))]
+    comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT]
+    return "\n".join(docstrings + comments)
+
+
+def test_every_markdown_file_the_code_cites_exists():
+    """A docstring or comment that defers to ``SOMETHING.md`` must name a file
+    in the repository (by its path from the root, or by its name in docs/)."""
+    missing = []
+    for path in sorted([*SRC.rglob("*.py"), *(ROOT / "benchmarks" / "paper").glob("*.py")]):
+        for name in re.findall(r"[\w./-]*\w\.md\b", _docstrings_and_comments(path)):
+            if not ((ROOT / name).is_file() or (ROOT / "docs" / name).is_file()):
+                missing.append(f"{path.relative_to(ROOT)}: {name}")
+    assert not missing, "cited markdown files that do not exist:\n  " + "\n  ".join(missing)

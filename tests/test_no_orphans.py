@@ -17,7 +17,6 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "repro"
 
 _REFERENCE = "nn/gradcheck.py is the oracle the layer gradient checks compare against"
-_FIXTURE = "the synthetic-field loader tests/conftest.py builds every shared fixture from"
 _PENDING = ("test-only today; the tests that pin it are on the protected floor, of "
             "which one PR may retire only a few — delete it together with them")
 
@@ -26,12 +25,11 @@ _PENDING = ("test-only today; the tests that pin it are on the protected floor, 
 #: entry: they are private, or reached through the public ``scalar=`` switches.
 ALLOWED = {
     "check_layer_gradients": _REFERENCE,
-    "load_field_snapshot": _FIXTURE,
     **dict.fromkeys((
         "BitReader", "BitWriter", "Timer", "throughput_mb_s", "parallel_map",
         "MeanPredictor", "LorenzoPredictor", "LinearQuantizer",
         "second_order_lorenzo_predict", "default_error_bounds",
-        "run_rate_distortion", "load_training_blocks", "save_f64", "load_f64",
+        "write_csv", "save_series_csv", "save_f64", "load_f64",
         "nrmse", "Sigmoid", "Identity", "BatchNorm", "L1Loss", "SGD",
         "save_module", "load_module_state", "guard_specs"), _PENDING),
 }
