@@ -2,8 +2,12 @@
 
 One event-loop thread owns every socket: it accepts connections, parses
 request heads from per-connection buffers, frames bodies, and drains
-response bytes — all non-blocking.  Route work (store reads, ingest) runs on
-a bounded :class:`~concurrent.futures.ThreadPoolExecutor`, calling the same
+response bytes — all non-blocking.  It answers one kind of request itself:
+a body-less region GET of at most ``_INLINE_REGION_BYTES`` whose tiles are
+all resident in the tile cache — a crop of arrays in memory, cheaper than
+the round trip to a worker and back.  Everything else (cold or partly cached
+regions, bodies, ingest, other routes) runs on a bounded
+:class:`~concurrent.futures.ThreadPoolExecutor`, calling the same
 transport-agnostic :class:`repro.store.server.StoreApp` the threaded server
 wraps, so routes, status codes and auth are identical across front ends by
 construction.
@@ -28,7 +32,8 @@ Threading discipline (this module has exactly three kinds of threads):
 
 * the *loop thread* (whoever calls :meth:`serve_forever`) exclusively owns
   every ``_Conn``, the selector, and the ``_conns`` / ``_paused`` sets — no
-  locks needed;
+  locks needed; its resident reads take only short critical sections and
+  never decode, read a source, or wait on another thread's tile load;
 * *worker threads* touch only the :class:`_BodyChannel` (internally locked)
   and the completion queue (a ``SimpleQueue``), then wake the loop over a
   socketpair;
@@ -75,6 +80,8 @@ _BODY_HIGH_WATER = 4 << 20
 #: How long a closing connection drains inbound bytes before the real
 #: close, so the client can read the response before any RST.
 _LINGER_SECONDS = 2.0
+#: Largest resident region the loop answers itself; bigger ones are pooled.
+_INLINE_REGION_BYTES = 1 << 20
 
 
 class _BodyChannel:
@@ -195,10 +202,10 @@ class _Conn:
     """Loop-thread-only state of one client connection.
 
     ``state`` walks ``headers`` (accumulating a request head) ->
-    ``dispatched`` (a worker owns the request; body bytes go to the
-    channel) -> ``writing`` (draining the response) -> back to ``headers``
-    (keep-alive) or ``draining`` (lingering close: write side shut, inbound
-    discarded until EOF or deadline).
+    ``dispatched`` (a worker owns the request, body bytes go to the
+    channel; skipped by resident reads) -> ``writing`` (draining the
+    response) -> back to ``headers`` (keep-alive) or ``draining`` (lingering
+    close: write side shut, inbound discarded until EOF or deadline).
     """
 
     __slots__ = ("sock", "inbuf", "outbuf", "state", "channel", "close_after",
@@ -292,6 +299,7 @@ class AsyncStoreHTTPServer:
                         if mask & selectors.EVENT_WRITE \
                                 and conn.sock is not None:
                             self._flush(conn)
+                            self._try_parse(conn)
                 self._process_completions()
                 self._resume_paused()
                 self._check_timeouts(time.monotonic())
@@ -412,83 +420,94 @@ class AsyncStoreHTTPServer:
         self._update_events(conn)
 
     def _try_parse(self, conn: _Conn) -> None:
-        """Parse one request head from ``inbuf`` and dispatch it."""
-        if conn.state != "headers":
-            return
-        buf = conn.inbuf
-        end = buf.find(b"\r\n\r\n")
-        if end < 0:
-            if len(buf) > _MAX_HEADER_BYTES:
+        """Parse request heads from ``inbuf``; answer resident reads, dispatch
+        the rest.  A loop, not a recursion (flushing never parses), so any
+        number of pipelined answers costs constant stack."""
+        while conn.sock is not None and conn.state == "headers":
+            buf = conn.inbuf
+            end = buf.find(b"\r\n\r\n")
+            if end < 0:
+                if len(buf) > _MAX_HEADER_BYTES:
+                    self._queue_response(conn, StoreApp._json(
+                        431, {"error": "request header section too large"},
+                        close=True))
+                return
+            head = bytes(buf[:end])
+            del buf[:end + 4]
+            lines = head.decode("latin-1").split("\r\n")
+            first = lines[0].split(" ")
+            if len(first) != 3:
                 self._queue_response(conn, StoreApp._json(
-                    431, {"error": "request header section too large"},
-                    close=True))
-            return
-        head = bytes(buf[:end])
-        del buf[:end + 4]
-        lines = head.decode("latin-1").split("\r\n")
-        first = lines[0].split(" ")
-        if len(first) != 3:
-            self._queue_response(conn, StoreApp._json(
-                400, {"error": f"malformed request line {lines[0]!r}"},
-                close=True))
-            return
-        method, target, version = first
-        if not version.startswith("HTTP/1."):
-            self._queue_response(conn, StoreApp._json(
-                505, {"error": f"unsupported protocol {version!r}"},
-                close=True))
-            return
-        headers: Dict[str, str] = {}
-        for raw in lines[1:]:
-            if not raw:
-                continue
-            name, sep, value = raw.partition(":")
-            if not sep:
-                self._queue_response(conn, StoreApp._json(
-                    400, {"error": f"malformed header line {raw!r}"},
+                    400, {"error": f"malformed request line {lines[0]!r}"},
                     close=True))
                 return
-            headers[name.strip().lower()] = value.strip()
-        connection = headers.get("connection", "").lower()
-        conn.close_after = ("close" in connection
-                            or (version == "HTTP/1.0"
-                                and "keep-alive" not in connection))
-        if method not in ("GET", "POST", "DELETE"):
-            self._queue_response(conn, StoreApp._json(
-                501, {"error": f"unsupported method {method!r}"}, close=True))
-            return
-        chunked = "chunked" in headers.get("transfer-encoding", "").lower()
-        try:
-            declared = int(headers.get("content-length", "0"))
-        except ValueError:
-            declared = 0  # the app answers the bad Content-Length with a 400
-        rfile: Any
-        if chunked or declared > 0:
-            channel: Optional[_BodyChannel] = _BodyChannel(
-                self.read_timeout, self._wake)
-            rfile = channel
-        else:
-            channel = None
-            rfile = io.BytesIO(b"")
-        if headers.get("expect", "").lower() == "100-continue":
-            conn.outbuf += b"HTTP/1.1 100 Continue\r\n\r\n"
-        conn.state = "dispatched"
-        conn.channel = channel
-        conn.last_active = time.monotonic()
-        if channel is not None and buf:
-            # Body bytes that arrived glued to the head.
-            channel.feed(bytes(buf))
-            del buf[:]
-        request = Request(method, target, headers, rfile)
-        try:
-            self._pool.submit(self._run_handler, conn, request)
-        except RuntimeError:  # pool shut down: the server is closing
-            self._drop(conn)
-            return
-        if conn.outbuf:
-            self._flush(conn)
-        else:
-            self._update_events(conn)
+            method, target, version = first
+            if not version.startswith("HTTP/1."):
+                self._queue_response(conn, StoreApp._json(
+                    505, {"error": f"unsupported protocol {version!r}"},
+                    close=True))
+                return
+            headers: Dict[str, str] = {}
+            for raw in lines[1:]:
+                if not raw:
+                    continue
+                name, sep, value = raw.partition(":")
+                if not sep:
+                    self._queue_response(conn, StoreApp._json(
+                        400, {"error": f"malformed header line {raw!r}"},
+                        close=True))
+                    return
+                headers[name.strip().lower()] = value.strip()
+            connection = headers.get("connection", "").lower()
+            conn.close_after = ("close" in connection
+                                or (version == "HTTP/1.0"
+                                    and "keep-alive" not in connection))
+            if method not in ("GET", "POST", "DELETE"):
+                self._queue_response(conn, StoreApp._json(
+                    501, {"error": f"unsupported method {method!r}"},
+                    close=True))
+                return
+            te = headers.get("transfer-encoding", "")
+            try:
+                declared = int(headers.get("content-length", "0"))
+            except ValueError:
+                declared = 0  # the app answers a bad Content-Length with 400
+            rfile: Any
+            if "chunked" in te.lower() or declared > 0:
+                channel: Optional[_BodyChannel] = _BodyChannel(
+                    self.read_timeout, self._wake)
+                rfile = channel
+            else:
+                channel = None
+                rfile = io.BytesIO(b"")
+            if headers.get("expect", "").lower() == "100-continue":
+                conn.outbuf += b"HTTP/1.1 100 Continue\r\n\r\n"
+            request = Request(method, target, headers, rfile)
+            if channel is None and method == "GET":
+                try:
+                    response = self.app.handle_resident(
+                        request, _INLINE_REGION_BYTES)
+                except Exception:  # noqa: BLE001 - the pool answers it
+                    response = None
+                if response is not None:  # resident: no worker round trip
+                    self._queue_response(conn, response)
+                    continue
+            conn.state = "dispatched"
+            conn.channel = channel
+            conn.last_active = time.monotonic()
+            if channel is not None and buf:
+                # Body bytes that arrived glued to the head.
+                channel.feed(bytes(buf))
+                del buf[:]
+            try:
+                self._pool.submit(self._run_handler, conn, request)
+            except RuntimeError:  # pool shut down: the server is closing
+                self._drop(conn)
+                return
+            if conn.outbuf:
+                self._flush(conn)
+            else:
+                self._update_events(conn)
 
     # ---------------------------------------------------------- worker thread
     def _run_handler(self, conn: _Conn, request: Request) -> None:
@@ -523,6 +542,7 @@ class AsyncStoreHTTPServer:
                 if leftover:
                     conn.inbuf[:0] = leftover
             self._queue_response(conn, response)
+            self._try_parse(conn)
 
     def _queue_response(self, conn: _Conn, response: Response) -> None:
         if conn.sock is None:
@@ -532,12 +552,14 @@ class AsyncStoreHTTPServer:
         if close:
             del conn.inbuf[:]  # no further requests will be parsed
         conn.state = "writing"
-        conn.outbuf += self._render(response, close)
+        conn.outbuf += self._render_head(response, close)
+        if response.status != 304:  # appended apart: one copy of the body
+            conn.outbuf += response.body
         conn.last_active = time.monotonic()
         self._flush(conn)
 
     @staticmethod
-    def _render(response: Response, close: bool) -> bytes:
+    def _render_head(response: Response, close: bool) -> bytes:
         try:
             phrase = HTTPStatus(response.status).phrase
         except ValueError:
@@ -549,10 +571,7 @@ class AsyncStoreHTTPServer:
         lines.append(f"Content-Length: {len(response.body)}")
         if close:
             lines.append("Connection: close")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        if response.status == 304:
-            return head
-        return head + response.body
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
     # ------------------------------------------------------------ loop: write
     def _flush(self, conn: _Conn) -> None:
@@ -574,13 +593,12 @@ class AsyncStoreHTTPServer:
         if conn.outbuf or conn.state != "writing":
             self._update_events(conn)
             return
-        # Response fully written.
+        # Response fully written; the caller's _try_parse takes the next.
         if conn.close_after:
             self._start_linger(conn)
             return
         conn.state = "headers"
         self._update_events(conn)
-        self._try_parse(conn)
 
     def _start_linger(self, conn: _Conn) -> None:
         """Shut the write side, then discard inbound until EOF/deadline.

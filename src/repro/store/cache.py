@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -108,6 +108,19 @@ class TileCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return arr
+
+    def get_resident(self, keys: Sequence[Hashable]
+                     ) -> Optional[List[np.ndarray]]:
+        """Every key's tile if *all* are resident (each a hit, now most
+        recently used), else ``None`` with nothing counted — one lock
+        acquisition, and a load in flight elsewhere is never waited on."""
+        with self._lock:
+            if not all(key in self._entries for key in keys):
+                return None
+            for key in keys:
+                self._entries.move_to_end(key)
+            self.hits += len(keys)
+            return [self._entries[key] for key in keys]
 
     def put(self, key: Hashable, arr: np.ndarray) -> np.ndarray:
         """Insert a decoded tile, evicting LRU entries past ``max_bytes``.

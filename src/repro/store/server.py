@@ -88,7 +88,7 @@ import re
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple,
-                    Union)
+                    Union, cast)
 from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
@@ -290,25 +290,44 @@ class StoreApp:
 
     # ------------------------------------------------------------ entry point
     def handle(self, request: Request) -> Response:
+        return cast(Response, self._handle(request, None))
+
+    def handle_resident(self, request: Request, max_bytes: int
+                        ) -> Optional[Response]:
+        """:meth:`handle`'s answer to a region GET that needs no source
+        read, decode or wait (:meth:`ArchiveStore.read_resident`), else
+        ``None`` with nothing recorded — the caller then runs ``handle``."""
+        return self._handle(request, max_bytes)
+
+    def _handle(self, request: Request, resident_bytes: Optional[int]
+                ) -> Optional[Response]:
         start = time.perf_counter()
-        route = "other"
+        route: Optional[str] = "other"
         status = nbytes = 0
         try:
             parsed = urlparse(request.target)
             parts = [unquote(p) for p in parsed.path.split("/") if p]
-            route, thunk = self._resolve(request, parts, parsed)
-            response = thunk()
+            route, thunk = self._resolve(request, parts, parsed,
+                                         resident_bytes)
+            response = thunk() if resident_bytes is None \
+                or route == "region" else None
+            if response is None:
+                route = None
+                return None
             status, nbytes = response.status, len(response.body)
             return response
         finally:
-            seconds = time.perf_counter() - start
-            self.metrics.record(route, status, seconds)
-            if ACCESS_LOG.isEnabledFor(logging.INFO):
-                ACCESS_LOG.info("%s %s %d %d %.3f", request.method,
-                                request.target, status, nbytes, seconds * 1e3)
+            if route is not None:  # None: declined, handle() records it
+                seconds = time.perf_counter() - start
+                self.metrics.record(route, status, seconds)
+                if ACCESS_LOG.isEnabledFor(logging.INFO):
+                    ACCESS_LOG.info("%s %s %d %d %.3f", request.method,
+                                    request.target, status, nbytes,
+                                    seconds * 1e3)
 
-    def _resolve(self, request: Request, parts: List[str], parsed
-                 ) -> Tuple[str, Callable[[], Response]]:
+    def _resolve(self, request: Request, parts: List[str], parsed,
+                 resident_bytes: Optional[int]
+                 ) -> Tuple[str, Callable[[], Optional[Response]]]:
         """Map (method, path) to a (metrics route name, handler thunk)."""
         method = request.method
         if method == "GET":
@@ -320,7 +339,7 @@ class StoreApp:
                 return "info", lambda: self._info(request, parts[1])
             if len(parts) == 3 and parts[0] == "v1" and parts[2] == "region":
                 return "region", lambda: self._region(
-                    request, parts[1], parse_qs(parsed.query))
+                    request, parts[1], parse_qs(parsed.query), resident_bytes)
             if len(parts) == 3 and parts[0] == "v1" and parts[2] == "archive":
                 return "archive", lambda: self._archive(request, parts[1])
         elif method == "POST" and len(parts) == 3 and parts[0] == "v1" \
@@ -376,7 +395,8 @@ class StoreApp:
         }
         return self._json(200, doc, extra=self._entity_headers(info))
 
-    def _region(self, request: Request, key: str, query: dict) -> Response:
+    def _region(self, request: Request, key: str, query: dict,
+                resident_bytes: Optional[int]) -> Optional[Response]:
         spec = (query.get("r") or query.get("region") or [None])[0]
         if spec is None:
             return self._json(400, {"error": "missing r= query parameter "
@@ -385,9 +405,14 @@ class StoreApp:
         if not_modified is not None:
             return not_modified
         try:
-            arr, info = self.store.read_region_with_info(key, spec)
+            got = self.store.read_region_with_info(key, spec) \
+                if resident_bytes is None \
+                else self.store.read_resident(key, spec, resident_bytes)
         except (KeyError, ValueError, OSError) as exc:
             return self._store_fault(exc)
+        if got is None:
+            return None
+        arr, info = got
         body = np.ascontiguousarray(arr).tobytes()
         meta = {
             "key": key,

@@ -22,6 +22,7 @@ Every public method is safe to call from many threads at once.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -365,9 +366,7 @@ class ArchiveStore:
 
     def info(self, key: str) -> IndexType:
         """The archive's parsed header (codec/shape/dtype/bound + tile index)."""
-        entry = self._entry(key)
-        entry.unpin()  # the index is plain parsed data; no handle use follows
-        return entry.index
+        return self.entry_info(key).index
 
     def entry_info(self, key: str) -> ReadInfo:
         """One atomic snapshot of ``key``'s header, generation and ETag.
@@ -488,6 +487,31 @@ class ArchiveStore:
             arr = _gather(entry.index, bounds, tiles, out)
             return arr, ReadInfo(entry.index, entry.generation, entry.etag,
                                  bounds)
+        finally:
+            entry.unpin()
+
+    def read_resident(self, key: str, region, max_bytes: int
+                      ) -> Optional[Tuple[np.ndarray, ReadInfo]]:
+        """:meth:`read_region_with_info` if the region is at most
+        ``max_bytes`` (in the archive's dtype) and every tile it touches is
+        resident — no source read, decode or wait — else ``None``, counting
+        nothing, so a fallback to ``read_region_with_info`` counts once."""
+        entry = self._entry(key)
+        try:
+            index = entry.index
+            bounds = self._bounds(entry, region)
+            if math.prod(b1 - b0 for b0, b1 in bounds) \
+                    * np.dtype(index.dtype).itemsize > max_bytes:
+                return None
+            ids = index.region_tiles(bounds)
+            tiles = self._cache.get_resident(
+                [(entry.token,) + index.tile_key(i) for i in ids])
+            if tiles is None:
+                return None
+            with self._stats_lock:
+                self._region_reads += 1
+            return (_gather(index, bounds, zip(ids, tiles)),
+                    ReadInfo(index, entry.generation, entry.etag, bounds))
         finally:
             entry.unpin()
 

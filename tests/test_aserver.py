@@ -10,7 +10,9 @@ read timeouts, the max-connections guard — plus the client-side bugfixes
 
 from __future__ import annotations
 
+import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -22,6 +24,8 @@ import pytest
 import repro
 from repro import api
 from repro.store import ArchiveStore, IngestManager, make_server
+from repro.store import store as store_module
+from repro.store.aserver import _MAX_HEADER_BYTES
 from repro.store.client import PushError, delete_key, push_field
 from repro.store.server import Request, StoreApp
 
@@ -284,6 +288,27 @@ class TestAsyncGuards:
             store.close()
             thread.join(timeout=10)
 
+    def test_oversized_request_head_431(self, grid_path):
+        store = ArchiveStore()
+        store.add("field", grid_path)
+        srv, thread = _start(store)
+        try:
+            with socket.create_connection(srv.server_address,
+                                          timeout=30) as s:
+                f = s.makefile("rb")
+                s.sendall(b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                          + b"a" * (_MAX_HEADER_BYTES + 1))
+                status, headers, body = _read_response(f)
+                assert status == 431
+                assert headers.get("connection") == "close"
+                assert "too large" in json.loads(body)["error"]
+                assert f.read() == b""
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            store.close()
+            thread.join(timeout=10)
+
     def test_malformed_request_line_400(self, grid_path):
         store = ArchiveStore()
         store.add("field", grid_path)
@@ -306,6 +331,177 @@ class TestAsyncGuards:
             srv.server_close()
             store.close()
             thread.join(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# Resident region reads answered by the loop thread itself
+# ---------------------------------------------------------------------------
+
+def _region_get(spec):
+    return f"GET /v1/field/region?r={spec} HTTP/1.1\r\n\r\n".encode()
+
+
+@pytest.fixture()
+def loop_server(grid_path):
+    """A one-worker selectors server plus the thread running its loop."""
+    store = ArchiveStore()
+    store.add("field", grid_path)
+    srv, thread = _start(store, workers=1)
+    try:
+        yield srv, thread
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        store.close()
+        thread.join(timeout=10)
+
+
+class TestLoopAnsweredReads:
+    def test_pipelined_resident_gets_do_not_recurse(self, loop_server):
+        """1 500 pipelined resident GETs in one ``sendall``: the loop answers
+        them all, in order, without a stack frame per request, and without
+        a single trip through the worker pool."""
+        srv, _ = loop_server
+        n = 1500
+        with socket.create_connection(srv.server_address, timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(_region_get("0:32,0:2,0:2"))  # warms tiles 0 and 4
+            assert _read_response(f)[0] == 200
+            pooled = []
+            real_run = srv._run_handler
+            srv._run_handler = lambda *a: (pooled.append(1), real_run(*a))
+            answers = []
+
+            def reader():
+                for _ in range(n):
+                    status, headers, _ = _read_response(f)
+                    if status != 200:  # e.g. a 500 that closes the socket
+                        answers.append((status, None))
+                        return
+                    meta = json.loads(headers["x-repro-header"])
+                    answers.append((status, meta["region"][0]))
+
+            thread = threading.Thread(target=reader)
+            thread.start()
+            s.sendall(b"".join(_region_get(f"{i % 32}:{i % 32 + 1},0:2,0:2")
+                               for i in range(n)))
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert answers == [(200, [i % 32, i % 32 + 1]) for i in range(n)]
+        assert not pooled
+        status, _, _ = _fetch(srv.url, "/v1/field/region?r=0:2,0:2,0:2")
+        assert status == 200  # the loop survived and serves a fresh connection
+
+    def test_resident_read_answered_while_the_worker_is_blocked(
+            self, loop_server, grid_path, monkeypatch):
+        """The only worker sits in a cold tile load; a resident GET on
+        another connection is still answered, then the cold read finishes
+        with the right bytes."""
+        srv, _ = loop_server
+        real = store_module._decode_parsed_tile
+        armed, entered, release = (threading.Event() for _ in range(3))
+
+        def blocking_decode(*args, **kwargs):
+            if armed.is_set():
+                entered.set()
+                release.wait(60)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "_decode_parsed_tile",
+                            blocking_decode)
+        warm = "/v1/field/region?r=0:8,0:8,0:8"
+        try:
+            assert _fetch(srv.url, warm)[0] == 200
+            armed.set()
+            with socket.create_connection(srv.server_address,
+                                          timeout=30) as cold:
+                cold.sendall(_region_get("16:24,16:24,16:24"))
+                assert entered.wait(30)
+                status, _, body = _fetch(srv.url, warm)
+                assert status == 200 and len(body) == 8 * 8 * 8 * 8
+                assert not release.is_set()  # answered before the load ends
+                release.set()
+                status, _, body = _read_response(cold.makefile("rb"))
+            want = repro.read_region(grid_path, "16:24,16:24,16:24")
+            assert status == 200 and body == want.tobytes()
+        finally:
+            release.set()
+
+    def test_no_tile_load_runs_on_the_loop_thread(self, loop_server,
+                                                  monkeypatch):
+        srv, loop_thread = loop_server
+        real = store_module._decode_parsed_tile
+        loaders = []
+
+        def recording_decode(*args, **kwargs):
+            loaders.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "_decode_parsed_tile",
+                            recording_decode)
+        for spec in ("0:8,0:8,0:8", "0:8,0:8,0:8", "0:8,0:8,8:24",
+                     "0:8,0:8,8:24", "0:32,0:32,0:32", "4:28,4:28,4:28"):
+            assert _fetch(srv.url, f"/v1/field/region?r={spec}")[0] == 200
+        assert len(loaders) == 8  # every tile loaded once, none twice
+        assert loop_thread.ident not in loaders
+
+
+def test_front_ends_agree_on_a_cold_warm_partial_script(grid_path, caplog):
+    """One request script, both front ends: identical bodies, headers,
+    counters and access log — a failed residency lookup counts no miss,
+    the pool path then counts it exactly once."""
+    script = [("/v1/field/region?r=0:8,0:8,0:8", {}),     # cold
+              ("/v1/field/region?r=0:8,0:8,0:8", {}),     # warm
+              ("/v1/field/region?r=0:8,0:8,8:24", {}),    # partly resident
+              ("/v1/field/region?r=0:8,0:8,0:8", None),   # If-None-Match
+              ("/v1/field/region?r=bogus", {}),
+              ("/v1/nope/region?r=0:1,0:1,0:1", {})]
+    runs = []
+    for kind in ("threaded", "selectors"):
+        store = ArchiveStore()
+        store.add("field", grid_path)
+        srv, thread = _start(store, server=kind)
+        caplog.clear()
+        conn = http.client.HTTPConnection(*srv.server_address, timeout=30)
+        answers = []
+        etag = ""
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.serve"):
+                for target, headers in script:
+                    conn.request("GET", target, headers={"If-None-Match": etag}
+                                 if headers is None else headers)
+                    resp = conn.getresponse()
+                    got = {k.lower(): v for k, v in resp.getheaders()
+                           if k.lower() not in ("server", "date")}
+                    answers.append((resp.status, got, resp.read()))
+                    etag = etag or got["etag"]
+                conn.request("GET", "/metrics")
+                doc = json.loads(conn.getresponse().read())
+        finally:
+            conn.close()
+            srv.shutdown()
+            srv.server_close()
+            store.close()
+            thread.join(timeout=10)
+        log = [r.getMessage().rsplit(" ", 1)[0] for r in caplog.records
+               if r.name == "repro.serve"]
+        counters = {**{k: doc["cache"][k] for k in ("hits", "misses", "loads")},
+                    "tile_decodes": doc["tile_decodes"],
+                    "region_reads": doc["region_reads"],
+                    "routes": {route: row["requests"]
+                               for route, row in doc["routes"].items()}}
+        runs.append((answers, counters, log))
+    threaded, loop = runs
+    assert [status for status, _, _ in loop[0]] == [200, 200, 200, 304, 400,
+                                                    404]
+    assert loop[0] == threaded[0]
+    assert loop[1] == threaded[1] == {
+        "hits": 2, "misses": 2, "loads": 2, "tile_decodes": 2,
+        "region_reads": 3, "routes": {"region": 6}}
+    # One access-log line per request; /metrics' own size varies with its
+    # latency figures, the script's lines match to the byte count.
+    assert loop[2][:-1] == threaded[2][:-1] and len(loop[2]) == len(script) + 1
+    assert loop[2][-1].startswith("GET /metrics 200 ")
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +562,6 @@ class TestAsyncWritePath:
 
 
 def _fetch(base, path):
-    import http.client
     from urllib.parse import urlsplit
 
     parts = urlsplit(base)

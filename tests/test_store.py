@@ -159,6 +159,36 @@ class TestTileCache:
         cache.clear()
         assert len(cache) == 0 and cache.nbytes == 0
 
+    def test_get_resident_is_all_or_nothing(self):
+        cache = TileCache(max_bytes=3 * 80)
+        arrs = {k: np.full(10, k, dtype=np.float64) for k in range(4)}
+        for k in range(3):
+            cache.put(k, arrs[k])
+        assert cache.get_resident([0, 3]) is None  # 3 missing: nothing counted
+        assert cache.hits == 0 and cache.misses == 0
+        got = cache.get_resident([1, 0])
+        assert [a[0] for a in got] == [1, 0] and cache.hits == 2
+        cache.put(3, arrs[3])  # 2 is now least recently used, not 0 or 1
+        assert 2 not in cache and 0 in cache and 1 in cache
+
+    def test_get_resident_never_waits_on_an_inflight_load(self):
+        cache = TileCache()
+        entered, release = threading.Event(), threading.Event()
+
+        def loader():
+            entered.set()
+            assert release.wait(5)
+            return np.ones(4)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            owner = pool.submit(cache.get_or_load, "k", loader)
+            assert entered.wait(5)
+            assert cache.get_resident(["k"]) is None  # in flight != resident
+            release.set()
+            owner.result(5)
+        assert cache.get_resident(["k"]) is not None
+        assert cache.misses == 1 and cache.loads == 1 and cache.hits == 1
+
 
 # ---------------------------------------------------------------------------
 # ArchiveStore behaviour
@@ -211,6 +241,35 @@ class TestArchiveStore:
                     store.read_region("g", region)
             distinct = _distinct_tiles(grid_path, REGIONS)
             assert store.stats()["tile_decodes"] == len(distinct)
+
+    def test_read_resident_only_when_every_tile_is_cached(self, grid_path):
+        with ArchiveStore() as store:
+            store.add("g", grid_path)
+            cold = store.stats()
+            # Cold, then partly resident: declined with no counter moved.
+            assert store.read_resident("g", REGIONS[1], 1 << 20) is None
+            store.read_region("g", REGIONS[0])
+            before = store.stats()
+            assert store.read_resident("g", REGIONS[1], 1 << 20) is None
+            assert store.stats() == before
+            assert before["tile_decodes"] > cold["tile_decodes"]
+            for region in REGIONS:
+                want, want_info = store.read_region_with_info("g", region)
+                stats = store.stats()
+                got, info = store.read_resident("g", region, 1 << 20)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert info == want_info
+                after = store.stats()
+                assert after["tile_decodes"] == stats["tile_decodes"]
+                assert after["region_reads"] == stats["region_reads"] + 1
+            # Over the byte budget: declined even though resident.
+            nbytes = 12 * 12 * 12 * 8
+            assert store.read_resident("g", REGIONS[0], nbytes - 1) is None
+            assert store.read_resident("g", REGIONS[0], nbytes) is not None
+            with pytest.raises(KeyError):
+                store.read_resident("nope", REGIONS[0], 1 << 20)
+            with pytest.raises(ValueError, match="4 axes"):
+                store.read_resident("g", "0:2,0:2,0:2,0:2", 1 << 20)
 
     def test_read_regions_batched_dedupes(self, grid_path):
         with ArchiveStore() as store:
