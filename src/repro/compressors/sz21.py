@@ -38,8 +38,9 @@ from repro.predictors.lorenzo import (
     _hyperplane_predictions,
     lorenzo_predict,
 )
-from repro.predictors.regression import LinearRegressionPredictor
-from repro.quantization.linear import UNPREDICTABLE_CODE
+from repro.predictors.regression import LinearRegressionPredictor, RegressionCoefficients
+from repro.quantization.linear import (UNPREDICTABLE_CODE, dequantize_prediction_errors,
+                                       quantize_prediction_errors)
 from repro.registry import register_compressor
 
 FLAG_LORENZO = 0
@@ -234,8 +235,6 @@ class SZ21Compressor(Compressor):
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                          Optional[np.ndarray]]:
         """Per-element reference encode (the original SZ2.1 formulation)."""
-        from repro.quantization.linear import quantize_prediction_errors
-
         n_blocks = blocks.shape[0]
         flags = np.zeros(n_blocks, dtype=np.uint8)
         all_codes: List[np.ndarray] = []
@@ -275,8 +274,6 @@ class SZ21Compressor(Compressor):
         recovered from the batched reconstruction in C order (which equals the
         scalar path's block-by-block append order).
         """
-        from repro.quantization.linear import quantize_prediction_errors
-
         n_blocks = blocks.shape[0]
         flags = np.zeros(n_blocks, dtype=np.uint8)
         if n_blocks == 0:
@@ -396,11 +393,7 @@ class SZ21Compressor(Compressor):
         for b in np.flatnonzero(flags == FLAG_REGRESSION):
             coef = coefs[coef_pos:coef_pos + n_coef]
             coef_pos += n_coef
-            from repro.predictors.regression import RegressionCoefficients
-
             pred = self._regression.predict(block_shape, RegressionCoefficients(coef))
-            from repro.quantization.linear import dequantize_prediction_errors
-
             blocks[b] = dequantize_prediction_errors(
                 codes_all[b], pred, unpred[offsets[b]:offsets[b + 1]], abs_eb, num_bins)
         return reassemble_blocks(blocks, grid)

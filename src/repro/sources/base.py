@@ -7,7 +7,7 @@ read path needs — ``size``, ``read_at(offset, length)``, ``read_all()``,
 ``close()``, context manager — and this module defines it plus the two local
 implementations every caller already relied on implicitly:
 
-* :class:`BytesByteSource` — lock-free slices over an in-memory blob;
+* :class:`BytesByteSource` — slices of an in-memory blob;
 * :class:`FileByteSource` — positional ``os.pread`` over one descriptor,
   safe to share across threads, with an explicit short-read loop (one pread
   caps at ~2 GiB on Linux and either syscall may return short near resource
@@ -28,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from typing import Union
+from typing import Dict, Union
+
+from repro.utils.concurrency import Counters
 
 #: What :func:`open_source` accepts: archive bytes, a filesystem path, an
 #: ``http(s)://`` URL, or an already-open byte source (passed through).
@@ -37,10 +39,28 @@ SourceLike = Union[bytes, bytearray, memoryview, str, os.PathLike]
 #: The attributes an object must expose to be treated as a byte source.
 _PROTOCOL_ATTRS = ("size", "read_at", "read_all", "close")
 
+#: The remote-source counters, summed by ``ArchiveStore.remote_stats()``:
+#: HTTP range traffic (:class:`repro.sources.http.HttpByteSource`) and the
+#: disk spill (:class:`repro.sources.spill.CachingByteSource`).
+HTTP_COUNTERS = ("range_requests", "retried", "bytes_fetched")
+SPILL_COUNTERS = ("spill_hits", "spill_misses", "spill_evictions",
+                  "spill_bytes_written")
+REMOTE_COUNTERS = HTTP_COUNTERS + SPILL_COUNTERS
+
 
 def is_byte_source(obj) -> bool:
     """Duck-typed check for the ``ByteSource`` contract (no registration)."""
     return all(hasattr(obj, name) for name in _PROTOCOL_ATTRS)
+
+
+def source_counts(source) -> Dict[str, int]:
+    """The snapshot of ``source``'s optional ``counters`` over that of the
+    ``source`` it wraps, if any (the disk spill); ``{}`` if it keeps none."""
+    counters = getattr(source, "counters", None)
+    if counters is None:
+        return {}
+    return {**source_counts(getattr(source, "source", None)),
+            **counters.snapshot()}
 
 
 def is_url(source) -> bool:
@@ -54,12 +74,14 @@ class BytesByteSource:
 
     Reads are slices of an immutable bytes object, so one instance is safe
     to share across threads (the store serves in-memory archives through it
-    directly; only ``bytes_read`` accounting may undercount under races).
+    directly).
     """
 
     def __init__(self, data):
         self._data = bytes(data)
-        self.bytes_read = 0
+        self.counters = Counters(("bytes_read",))
+
+    bytes_read = property(lambda self: self.counters.snapshot()["bytes_read"])
 
     @property
     def size(self) -> int:
@@ -67,11 +89,11 @@ class BytesByteSource:
 
     def read_at(self, offset: int, length: int) -> bytes:
         out = self._data[offset:offset + length]
-        self.bytes_read += len(out)
+        self.counters.add("bytes_read", len(out))
         return out
 
     def read_all(self) -> bytes:
-        self.bytes_read += len(self._data)
+        self.counters.add("bytes_read", len(self._data))
         return self._data
 
     @property
@@ -112,7 +134,9 @@ class FileByteSource:
         self._size = stat.st_size
         self._mtime_ns = stat.st_mtime_ns
         self._fallback_lock = None if hasattr(os, "pread") else threading.Lock()
-        self.bytes_read = 0
+        self.counters = Counters(("bytes_read",))
+
+    bytes_read = property(lambda self: self.counters.snapshot()["bytes_read"])
 
     @property
     def size(self) -> int:
@@ -134,7 +158,7 @@ class FileByteSource:
                 break  # EOF: callers detect truncation via length/CRC checks
             parts.append(chunk)
             got += len(chunk)
-        self.bytes_read += got
+        self.counters.add("bytes_read", got)
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def read_all(self) -> bytes:

@@ -36,7 +36,8 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar
 from urllib.parse import urlsplit
 
-from repro.utils.concurrency import install_guards, make_lock
+from repro.sources.base import HTTP_COUNTERS
+from repro.utils.concurrency import Counters, install_guards, make_lock
 
 #: Per-request socket timeout (seconds) unless the caller overrides it.
 DEFAULT_TIMEOUT = 30.0
@@ -188,11 +189,12 @@ def parse_content_range(value: str) -> Tuple[int, int, Optional[int]]:
 class HttpByteSource:
     """Range-GET reads over one remote archive URL.  Thread-safe.
 
-    All state (idle connection pool, learned size/validators, counters) is
+    All state (idle connection pool, learned size/validators) is
     lock-guarded; concurrent ``read_at`` calls each use their own pooled
     connection, so tile fetches of one region can overlap on the wire.
-    ``stats()`` exposes the remote counters the store aggregates into
-    ``/metrics``: ``range_requests``, ``retried``, ``bytes_fetched``.
+    ``counters`` holds the remote counters the store aggregates into
+    ``/metrics`` (``range_requests``, ``retried``, ``bytes_fetched``);
+    ``stats()`` is their snapshot.
     """
 
     def __init__(self, url: str, *, timeout: float = DEFAULT_TIMEOUT,
@@ -210,9 +212,7 @@ class HttpByteSource:
         self._closed = False  # guarded by: self._lock
         self._size: Optional[int] = None  # guarded by: self._lock
         self._validator: Optional[str] = None  # guarded by: self._lock
-        self._range_requests = 0  # guarded by: self._lock
-        self._retried = 0  # guarded by: self._lock
-        self._bytes_fetched = 0  # guarded by: self._lock
+        self.counters = Counters(HTTP_COUNTERS)
 
     # -------------------------------------------------------------- protocol
     @property
@@ -239,15 +239,11 @@ class HttpByteSource:
         if known is not None and offset >= known:
             return b""  # past EOF, same contract as the local sources
         end = offset + length - 1
-
-        def count_retry() -> None:
-            with self._lock:
-                self._retried += 1
-
         return self._retry.run(
             lambda: self._fetch_range(offset, end),
             f"{self.url}: range read bytes={offset}-{end} failed",
-            error=HttpSourceError, on_retry=count_retry)
+            error=HttpSourceError,
+            on_retry=lambda: self.counters.add("retried"))
 
     def read_all(self) -> bytes:
         return self.read_at(0, self.size)
@@ -277,10 +273,7 @@ class HttpByteSource:
 
     # -------------------------------------------------------------- counters
     def stats(self) -> dict:
-        with self._lock:
-            return {"range_requests": self._range_requests,
-                    "retried": self._retried,
-                    "bytes_fetched": self._bytes_fetched}
+        return self.counters.snapshot()
 
     # -------------------------------------------------------------- internals
     def _fetch_range(self, offset: int, end: int) -> bytes:
@@ -293,8 +286,7 @@ class HttpByteSource:
             headers["Accept-Encoding"] = "identity"
             conn.request("GET", self._address.target, headers=headers)
             resp = conn.getresponse()
-            with self._lock:
-                self._range_requests += 1
+            self.counters.add("range_requests")
             if self._retry.retryable_status(resp.status):
                 raise TransientHTTPError(f"HTTP {resp.status} {resp.reason}")
             if resp.status == 416:
@@ -329,8 +321,7 @@ class HttpByteSource:
                 raise TransientHTTPError(
                     f"short body: got {len(body)} of {expected} bytes")
             self._learn(total, resp)
-            with self._lock:
-                self._bytes_fetched += len(body)
+            self.counters.add("bytes_fetched", len(body))
             keep = True
             return body
         finally:
@@ -375,5 +366,4 @@ class HttpByteSource:
 
 
 install_guards(HttpByteSource, "_lock",
-               ("_idle", "_closed", "_size", "_validator", "_range_requests",
-                "_retried", "_bytes_fetched"))
+               ("_idle", "_closed", "_size", "_validator"))

@@ -36,7 +36,8 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.utils.concurrency import install_guards, make_lock
+from repro.sources.base import SPILL_COUNTERS, source_counts
+from repro.utils.concurrency import Counters, install_guards, make_lock
 
 #: Default on-disk budget for spilled ranges (1 GiB).
 DEFAULT_SPILL_BYTES = 1 << 30
@@ -71,7 +72,7 @@ class CachingByteSource:
                  token: Optional[str] = None):
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        self._source = source
+        self.source = source
         self._dir = os.fspath(cache_dir)
         os.makedirs(self._dir, exist_ok=True)
         self.max_bytes = int(max_bytes)
@@ -84,15 +85,12 @@ class CachingByteSource:
         self._file_token: Optional[str] = None  # guarded by: self._lock
         self._nbytes = 0  # guarded by: self._lock
         self._flights: Dict[Tuple[int, int], _Flight] = {}  # guarded by: self._lock
-        self._hits = 0  # guarded by: self._lock
-        self._misses = 0  # guarded by: self._lock
-        self._evictions = 0  # guarded by: self._lock
-        self._bytes_written = 0  # guarded by: self._lock
+        self.counters = Counters(SPILL_COUNTERS)
 
     # -------------------------------------------------------------- protocol
     @property
     def size(self) -> int:
-        return self._source.size
+        return self.source.size
 
     def read_at(self, offset: int, length: int) -> bytes:
         if length <= 0:
@@ -106,14 +104,14 @@ class CachingByteSource:
             with self._lock:
                 if key in self._index:
                     self._index.move_to_end(key)
-                    self._hits += 1
+                    self.counters.add("spill_hits")
                     path = self._range_path(key)
                 else:
                     flight = self._flights.get(key)
                     if flight is None:
                         flight = _Flight()
                         self._flights[key] = flight
-                        self._misses += 1
+                        self.counters.add("spill_misses")
                         owner = True
             if path is not None:
                 data = self._read_file(path)
@@ -131,14 +129,14 @@ class CachingByteSource:
                 if flight.error is not None:
                     raise flight.error
                 if flight.value is not None:
-                    with self._lock:
-                        self._hits += 1  # coalesced onto the owner's fetch
+                    # Coalesced onto the owner's fetch: a hit.
+                    self.counters.add("spill_hits")
                     return flight.value
                 continue  # loader bailed without a value; retry cold
             break
         fetched = False
         try:
-            data = self._source.read_at(offset, length)
+            data = self.source.read_at(offset, length)
             fetched = True
         finally:
             if not fetched:
@@ -156,14 +154,14 @@ class CachingByteSource:
         return data
 
     def read_all(self) -> bytes:
-        return self._source.read_all()
+        return self.source.read_all()
 
     @property
     def content_token(self) -> str:
         return self._resolve_token()
 
     def close(self) -> None:
-        self._source.close()
+        self.source.close()
 
     def __enter__(self):
         return self
@@ -174,30 +172,23 @@ class CachingByteSource:
 
     # -------------------------------------------------------------- counters
     def stats(self) -> dict:
-        """Spill counters merged over the wrapped source's own ``stats()``."""
-        inner = getattr(self._source, "stats", None)
-        out = dict(inner()) if callable(inner) else {}
+        """Spill counters over the wrapped source's, plus the footprint."""
+        out = source_counts(self)
         with self._lock:
-            out.update({
-                "spill_hits": self._hits,
-                "spill_misses": self._misses,
-                "spill_evictions": self._evictions,
-                "spill_bytes_written": self._bytes_written,
-                "spill_nbytes": self._nbytes,
-                "spill_entries": 0 if self._index is None else len(self._index),
-            })
+            out["spill_nbytes"] = self._nbytes
+            out["spill_entries"] = 0 if self._index is None else len(self._index)
         return out
 
     # -------------------------------------------------------------- internals
     def _resolve_token(self) -> str:
         if self._token is not None:
             return self._token
-        token = getattr(self._source, "content_token", None)
+        token = getattr(self.source, "content_token", None)
         if callable(token):
             token = token()
         if not token:
             raise ValueError(
-                f"wrapped source {type(self._source).__name__} has no "
+                f"wrapped source {type(self.source).__name__} has no "
                 f"content_token; pass token= to CachingByteSource")
         return str(token)
 
@@ -279,7 +270,7 @@ class CachingByteSource:
                 self._nbytes -= old
             self._index[key] = len(data)
             self._nbytes += len(data)
-            self._bytes_written += len(data)
+            self.counters.add("spill_bytes_written", len(data))
             self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
@@ -287,7 +278,7 @@ class CachingByteSource:
         while self._index and self._nbytes > self.max_bytes:
             key, nbytes = self._index.popitem(last=False)
             self._nbytes -= nbytes
-            self._evictions += 1
+            self.counters.add("spill_evictions")
             try:
                 os.unlink(self._range_path(key))
             except OSError:
@@ -295,5 +286,4 @@ class CachingByteSource:
 
 
 install_guards(CachingByteSource, "_lock",
-               ("_index", "_file_token", "_nbytes", "_flights", "_hits",
-                "_misses", "_evictions", "_bytes_written"))
+               ("_index", "_file_token", "_nbytes", "_flights"))

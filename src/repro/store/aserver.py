@@ -232,8 +232,8 @@ def _default_workers() -> int:
 class AsyncStoreHTTPServer:
     """Drop-in alternative to :class:`repro.store.server.StoreHTTPServer`.
 
-    Same constructor shape, same ``url`` / ``store`` / ``ingest`` /
-    ``metrics`` attributes, same ``serve_forever()`` / ``shutdown()`` /
+    Same constructor shape, same ``url`` / ``app`` / ``store`` / ``ingest``
+    attributes, same ``serve_forever()`` / ``shutdown()`` /
     ``server_close()`` protocol — ``make_server(..., server="selectors")``
     is the only intended way to build one.
     """
@@ -246,7 +246,6 @@ class AsyncStoreHTTPServer:
         self.app = StoreApp(store, ingest=ingest)
         self.store = store
         self.ingest = ingest
-        self.metrics = self.app.metrics
         self.read_timeout = read_timeout
         self.max_connections = max_connections
         self._listen = socket.create_server(address, backlog=512)

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.concurrency import install_guards, make_lock
+from repro.utils.concurrency import Counters, install_guards, make_lock
 
 #: Default decoded-tile budget (256 MB) — ~1000 float64 tiles of 32^3, small
 #: against server RAM, large against any single region's working set.
@@ -62,14 +62,14 @@ class TileCache:
         self._entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()  # guarded by: self._lock
         self._inflight: Dict[Hashable, _Flight] = {}  # guarded by: self._lock
         self._nbytes = 0  # guarded by: self._lock
-        # Monotonic counters: written under self._lock, read lock-free by
-        # stats consumers (a torn read of an int is impossible in CPython).
-        self.hits = 0
-        self.misses = 0
-        self.loads = 0
-        self.evictions = 0
+        self.counters = Counters(("hits", "misses", "loads", "evictions"))
 
     # ------------------------------------------------------------- inspection
+    hits = property(lambda self: self.counters.snapshot()["hits"])
+    misses = property(lambda self: self.counters.snapshot()["misses"])
+    loads = property(lambda self: self.counters.snapshot()["loads"])
+    evictions = property(lambda self: self.counters.snapshot()["evictions"])
+
     @property
     def nbytes(self) -> int:
         """Decoded bytes currently resident."""
@@ -87,15 +87,8 @@ class TileCache:
     def stats(self) -> dict:
         """A point-in-time snapshot of counters and residency."""
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "nbytes": self._nbytes,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "loads": self.loads,
-                "evictions": self.evictions,
-            }
+            return {"entries": len(self._entries), "nbytes": self._nbytes,
+                    "max_bytes": self.max_bytes, **self.counters.snapshot()}
 
     # -------------------------------------------------------------- mutation
     def get(self, key: Hashable) -> Optional[np.ndarray]:
@@ -103,10 +96,10 @@ class TileCache:
         with self._lock:
             arr = self._entries.get(key)
             if arr is None:
-                self.misses += 1
+                self.counters.add("misses")
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
+            self.counters.add("hits")
             return arr
 
     def get_resident(self, keys: Sequence[Hashable]
@@ -119,7 +112,7 @@ class TileCache:
                 return None
             for key in keys:
                 self._entries.move_to_end(key)
-            self.hits += len(keys)
+            self.counters.add("hits", len(keys))
             return [self._entries[key] for key in keys]
 
     def put(self, key: Hashable, arr: np.ndarray) -> np.ndarray:
@@ -149,20 +142,19 @@ class TileCache:
                 arr = self._entries.get(key)
                 if arr is not None:
                     self._entries.move_to_end(key)
-                    self.hits += 1
+                    self.counters.add("hits")
                     return arr
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = _Flight()
                     self._inflight[key] = flight
-                    self.misses += 1
+                    self.counters.add("misses")
                     break  # this thread owns the load
             flight.event.wait()
             if flight.error is not None:
                 raise flight.error
             if flight.value is not None:
-                with self._lock:
-                    self.hits += 1
+                self.counters.add("hits")
                 return flight.value
             # Neither value nor error: cannot happen with the publish order
             # below, but looping (re-checking the cache) is safe regardless.
@@ -179,7 +171,7 @@ class TileCache:
         with self._lock:
             del self._inflight[key]
             self._insert(key, arr)
-            self.loads += 1
+            self.counters.add("loads")
         flight.event.set()
         return arr
 
@@ -222,7 +214,7 @@ class TileCache:
         while self._nbytes > self.max_bytes:
             _, evicted = self._entries.popitem(last=False)
             self._nbytes -= int(evicted.nbytes)
-            self.evictions += 1
+            self.counters.add("evictions")
 
 
 install_guards(TileCache, "_lock", ("_entries", "_inflight", "_nbytes"))

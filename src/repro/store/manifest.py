@@ -229,10 +229,6 @@ class StoreManifest:
         with self._lock:
             return self._auth.get(key, self._auth.get("*"))
 
-    def has_auth(self) -> bool:
-        with self._lock:
-            return bool(self._auth)
-
     # -------------------------------------------------------------- mutators
     def put(self, entry: ManifestEntry) -> None:
         """Insert or replace ``entry.key``'s record and persist atomically."""

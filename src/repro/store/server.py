@@ -20,9 +20,9 @@ Read routes (GET):
     Liveness + the store's cache/read counters, as JSON.
 ``/metrics``
     Operational counters as JSON: the :class:`TileCache` hit/miss/load/
-    eviction counters, ``tile_decodes``/``region_reads``, and per-route
-    request counts, error counts, latency sums and latency histograms with
-    estimated ``p50_ms``/``p99_ms``.
+    eviction counters, ``tile_decodes``/``region_reads``, the summed
+    ``remote`` source counters, and per-route request counts, error counts,
+    latency sums and latency histograms with estimated ``p50_ms``/``p99_ms``.
 ``/v1/<key>/info``
     The archive's header as JSON: codec, shape, dtype, bound, envelope
     version, generation and (for chunked/grid archives) the tile geometry.
@@ -302,22 +302,22 @@ class StoreApp:
     def _handle(self, request: Request, resident_bytes: Optional[int]
                 ) -> Optional[Response]:
         start = time.perf_counter()
-        route: Optional[str] = "other"
-        status = nbytes = 0
+        route = "other"
+        response: Optional[Response] = None
         try:
             parsed = urlparse(request.target)
             parts = [unquote(p) for p in parsed.path.split("/") if p]
             route, thunk = self._resolve(request, parts, parsed,
                                          resident_bytes)
-            response = thunk() if resident_bytes is None \
-                or route == "region" else None
-            if response is None:
-                route = None
-                return None
-            status, nbytes = response.status, len(response.body)
+            if resident_bytes is None or route == "region":
+                response = thunk()
             return response
         finally:
-            if route is not None:  # None: declined, handle() records it
+            # An inline attempt that declined or raised records nothing:
+            # the caller falls back to handle(), which records it once.
+            if response is not None or resident_bytes is None:
+                status, nbytes = (0, 0) if response is None \
+                    else (response.status, len(response.body))
                 seconds = time.perf_counter() - start
                 self.metrics.record(route, status, seconds)
                 if ACCESS_LOG.isEnabledFor(logging.INFO):
@@ -360,14 +360,10 @@ class StoreApp:
                                 "stats": self.store.stats()})
 
     def _metrics(self) -> Response:
-        stats = self.store.stats()
         return self._json(200, {
-            "cache": {k: stats[k] for k in ("entries", "nbytes", "max_bytes",
-                                            "hits", "misses", "loads",
-                                            "evictions")},
-            "tile_decodes": stats["tile_decodes"],
-            "region_reads": stats["region_reads"],
-            "archives": stats["archives"],
+            "cache": self.store.cache.stats(),
+            **self.store.counters.snapshot(),
+            "archives": len(self.store.keys()),
             "routes": self.metrics.snapshot(),
             "writable": self.ingest is not None,
             "remote": self.store.remote_stats(),
@@ -857,7 +853,6 @@ class StoreHTTPServer(ThreadingHTTPServer):
         self.app = StoreApp(store, ingest=ingest)
         self.store = store
         self.ingest = ingest
-        self.metrics = self.app.metrics
         self.read_timeout = read_timeout
 
     @property

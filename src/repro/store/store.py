@@ -40,10 +40,10 @@ from repro.api import (
 )
 from repro.encoding.container import Archive, ChunkedIndex, GridIndex
 from repro.registry import compressor_spec
-from repro.sources.base import open_source
+from repro.sources.base import REMOTE_COUNTERS, open_source, source_counts
 from repro.sources.spill import DEFAULT_SPILL_BYTES, CachingByteSource
 from repro.store.cache import DEFAULT_CACHE_BYTES, TileCache
-from repro.utils.concurrency import install_guards, make_lock
+from repro.utils.concurrency import Counters, install_guards, make_lock
 
 IndexType = Union[Archive, ChunkedIndex, GridIndex]
 
@@ -215,9 +215,7 @@ class ArchiveStore:
         self._lock = make_lock("ArchiveStore._lock")
         self._entries: Dict[str, _Entry] = {}  # guarded by: self._lock
         self._closed = False  # guarded by: self._lock
-        self._stats_lock = make_lock("ArchiveStore._stats_lock")
-        self._tile_decodes = 0  # guarded by: self._stats_lock
-        self._region_reads = 0  # guarded by: self._stats_lock
+        self.counters = Counters(("tile_decodes", "region_reads"))
 
     # ------------------------------------------------------------- lifecycle
     def add(self, key: str, source: SourceType, *, model: Any = None,
@@ -380,38 +378,30 @@ class ArchiveStore:
         return ReadInfo(entry.index, entry.generation, entry.etag, ())
 
     def stats(self) -> dict:
-        """Cache counters plus store-level read/decode totals."""
-        out = self._cache.stats()
-        with self._stats_lock:
-            out["tile_decodes"] = self._tile_decodes
-            out["region_reads"] = self._region_reads
+        """The cache's :meth:`TileCache.stats`, this store's counters
+        (``tile_decodes``, ``region_reads``) and the archive count."""
         with self._lock:
-            out["archives"] = len(self._entries)
-        return out
+            archives = len(self._entries)
+        return {**self._cache.stats(), **self.counters.snapshot(),
+                "archives": archives}
 
     def remote_stats(self) -> dict:
-        """Aggregated remote-source counters over every live entry.
+        """The remote-source counters summed over every live entry.
 
-        Sums each handle's ``stats()`` (only remote/spill sources have one):
-        HTTP ``range_requests`` / ``retried`` / ``bytes_fetched`` and spill
-        ``spill_hits`` / ``spill_misses`` / ``spill_evictions`` /
-        ``spill_bytes_written``; ``sources`` counts the contributing
-        entries.  All zeros on a purely local store.
+        One total per name in :data:`repro.sources.base.REMOTE_COUNTERS`
+        (HTTP range traffic, disk spill), plus ``sources``: how many entries
+        keep any of them.  All zeros on a purely local store.
         """
-        totals = {"sources": 0, "range_requests": 0, "retried": 0,
-                  "bytes_fetched": 0, "spill_hits": 0, "spill_misses": 0,
-                  "spill_evictions": 0, "spill_bytes_written": 0}
+        totals = dict.fromkeys(("sources",) + REMOTE_COUNTERS, 0)
         with self._lock:
             handles = [entry.handle for entry in self._entries.values()]
         for handle in handles:
-            stats = getattr(handle, "stats", None)
-            if not callable(stats):
+            counts = source_counts(handle)
+            if counts.keys().isdisjoint(REMOTE_COUNTERS):
                 continue
-            row = stats()
             totals["sources"] += 1
-            for name in totals:
-                if name != "sources" and name in row:
-                    totals[name] += int(row[name])
+            for name in REMOTE_COUNTERS:
+                totals[name] += counts.get(name, 0)
         return totals
 
     @property
@@ -480,8 +470,7 @@ class ArchiveStore:
         entry = self._entry(key)
         try:
             bounds = self._bounds(entry, region)
-            with self._stats_lock:
-                self._region_reads += 1
+            self.counters.add("region_reads")
             tiles = self._tiles(entry, entry.index.region_tiles(bounds),
                                 decode_workers)
             arr = _gather(entry.index, bounds, tiles, out)
@@ -508,8 +497,7 @@ class ArchiveStore:
                 [(entry.token,) + index.tile_key(i) for i in ids])
             if tiles is None:
                 return None
-            with self._stats_lock:
-                self._region_reads += 1
+            self.counters.add("region_reads")
             return (_gather(index, bounds, zip(ids, tiles)),
                     ReadInfo(index, entry.generation, entry.etag, bounds))
         finally:
@@ -541,8 +529,7 @@ class ArchiveStore:
         entry = self._entry(key)
         try:
             bounds_list = [self._bounds(entry, region) for region in regions]
-            with self._stats_lock:
-                self._region_reads += len(bounds_list)
+            self.counters.add("region_reads", len(bounds_list))
             results: List[Optional[np.ndarray]] = [None] * len(bounds_list)
             # tile id -> region indices that intersect it (insertion-ordered,
             # so tiles are visited in row-major order: sequential cold I/O).
@@ -596,8 +583,7 @@ class ArchiveStore:
         """The decoded (full, uncropped) tile ``i``, via the shared cache."""
 
         def load() -> np.ndarray:
-            with self._stats_lock:
-                self._tile_decodes += 1
+            self.counters.add("tile_decodes")
             index = entry.index
             return _decode_parsed_tile(
                 i, index.tile_archive(i, entry.handle.read_at),
@@ -639,4 +625,3 @@ class ArchiveStore:
 
 install_guards(_Entry, "_pin_lock", ("_pins", "_retired", "_on_close"))
 install_guards(ArchiveStore, "_lock", ("_entries", "_closed"))
-install_guards(ArchiveStore, "_stats_lock", ("_tile_decodes", "_region_reads"))

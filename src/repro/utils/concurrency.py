@@ -37,6 +37,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 __all__ = [
     "CheckedLock",
+    "Counters",
     "GuardedAccessError",
     "LockOrderError",
     "LockUsageError",
@@ -287,3 +288,33 @@ def install_guards(cls: type, lock_attr: str, attrs: Iterable[str]) -> type:
         base = cls.__dict__.get(attr)  # slot member descriptor, if any
         setattr(cls, attr, _GuardedAttr(attr, lock_attr, base))
     return cls
+
+
+# --------------------------------------------------------------------------
+# Counters
+# --------------------------------------------------------------------------
+
+class Counters:
+    """A fixed set of named monotonic counters behind one lock.
+
+    The one way the store and the byte sources count: a component declares
+    its names once, bumps them with :meth:`add` from any thread, and its
+    ``stats()`` view reads one :meth:`snapshot`.  An undeclared name raises
+    ``KeyError``, so a typo cannot start a counter nobody reads.
+    """
+
+    def __init__(self, names: Iterable[str]):
+        self._lock = make_lock("Counters._lock")
+        self._values: Dict[str, int] = dict.fromkeys(names, 0)  # guarded by: self._lock
+
+    def add(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self._values[name] += n
+
+    def snapshot(self) -> Dict[str, int]:
+        """Every counter's value, read under one lock acquisition."""
+        with self._lock:
+            return dict(self._values)
+
+
+install_guards(Counters, "_lock", ("_values",))

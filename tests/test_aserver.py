@@ -504,6 +504,37 @@ def test_front_ends_agree_on_a_cold_warm_partial_script(grid_path, caplog):
     assert loop[2][-1].startswith("GET /metrics 200 ")
 
 
+def test_a_failed_inline_answer_is_recorded_once(grid_path, monkeypatch,
+                                                 caplog):
+    """A warm region GET whose inline attempt raises is answered by the
+    pool, and counted and logged there only: one request, no error."""
+    store = ArchiveStore()
+    store.add("field", grid_path)
+    srv, thread = _start(store)
+    target = "/v1/field/region?r=0:8,0:8,0:8"
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("inline read failed")
+
+    try:
+        assert _fetch(srv.url, target)[0] == 200  # warms every tile
+        monkeypatch.setattr(ArchiveStore, "read_resident", broken)
+        with caplog.at_level(logging.INFO, logger="repro.serve"):
+            status, _, body = _fetch(srv.url, target)
+        region = json.loads(_fetch(srv.url, "/metrics")[2])["routes"]["region"]
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        store.close()
+        thread.join(timeout=10)
+    assert status == 200
+    assert body == repro.read_region(grid_path, "0:8,0:8,0:8").tobytes()
+    assert (region["requests"], region["errors"]) == (2, 0)
+    log = [r.getMessage().split(" ")[:3] for r in caplog.records
+           if r.name == "repro.serve"]
+    assert log == [["GET", target, "200"]]
+
+
 # ---------------------------------------------------------------------------
 # Write path over the selectors front end (chunked upload via the channel)
 # ---------------------------------------------------------------------------

@@ -145,6 +145,26 @@ class TestSpecsMatchStaticAnnotations:
         assert {"ArchiveStore", "_Entry", "TileCache", "StoreManifest",
                 "IngestManager", "RouteMetrics"} <= set(registered)
 
+    def test_source_and_counter_specs_agree(self):
+        import repro.sources.http  # noqa: F401  (registers specs on import)
+        import repro.sources.spill  # noqa: F401
+
+        modules = {"repro.sources.http": "src/repro/sources/http.py",
+                   "repro.sources.spill": "src/repro/sources/spill.py",
+                   "repro.utils.concurrency": "src/repro/utils/concurrency.py"}
+        registered = {
+            name.rsplit(".", 1)[-1]: {lock: tuple(sorted(attrs))
+                                      for lock, attrs in spec.items()}
+            for name, spec in guard_specs().items()
+            if name.rsplit(".", 1)[0] in modules
+        }
+        static = {}
+        for rel in modules.values():
+            static.update(self._static_guards(rel))
+        assert registered == static
+        assert set(registered) == {"HttpByteSource", "CachingByteSource",
+                                   "Counters"}
+
 
 def _run_sanitized(body: str) -> subprocess.CompletedProcess:
     return subprocess.run(
