@@ -377,17 +377,18 @@ class Archive(_Envelope):
         if pos != len(data):
             raise ValueError(f"corrupt archive: {len(data) - pos} trailing bytes")
 
+        # ``to_bytes`` has always written ``crc``: an archive without one is
+        # tampered with, not old, and must not decode unchecked.
         crc = header.get("crc")
-        if crc is not None:
-            extra_crc = crc.get("extra", {}) if isinstance(crc, dict) else None
-            if not isinstance(crc, dict) or not isinstance(extra_crc, dict):
-                raise ValueError("corrupt archive: malformed crc field")
-            if zlib.crc32(payload) != crc.get("payload"):
-                raise ValueError("corrupt archive: payload checksum mismatch")
-            for key, value in extra.items():
-                if zlib.crc32(value) != extra_crc.get(key):
-                    raise ValueError(
-                        f"corrupt archive: section {key!r} checksum mismatch")
+        extra_crc = crc.get("extra", {}) if isinstance(crc, dict) else None
+        if not isinstance(crc, dict) or not isinstance(extra_crc, dict):
+            raise ValueError("corrupt archive: missing or malformed crc field")
+        if zlib.crc32(payload) != crc.get("payload"):
+            raise ValueError("corrupt archive: payload checksum mismatch")
+        for key, value in extra.items():
+            if zlib.crc32(value) != extra_crc.get(key):
+                raise ValueError(
+                    f"corrupt archive: section {key!r} checksum mismatch")
         return cls(**fields, payload=payload, extra=extra, version=version)
 
 

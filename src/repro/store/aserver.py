@@ -1,12 +1,12 @@
 """Non-blocking ``selectors`` front end for the store HTTP service.
 
-One event-loop thread owns every socket: it accepts connections, parses
-request heads from per-connection buffers, frames bodies, and drains
-response bytes — all non-blocking.  It answers one kind of request itself:
-a body-less region GET of at most ``_INLINE_REGION_BYTES`` whose tiles are
-all resident in the tile cache — a crop of arrays in memory, cheaper than
-the round trip to a worker and back.  Everything else (cold or partly cached
-regions, bodies, ingest, other routes) runs on a bounded
+One event-loop thread owns every socket it has not lent to a worker: it
+accepts connections, parses request heads from per-connection buffers, and
+drains response bytes — all non-blocking.  It answers one kind of request itself: a body-less region GET
+of at most ``_INLINE_REGION_BYTES`` whose tiles are all resident in the tile
+cache — a crop of arrays in memory, cheaper than the round trip to a worker
+and back.  Everything else (cold or partly cached regions, bodies, ingest,
+other routes) runs on a bounded
 :class:`~concurrent.futures.ThreadPoolExecutor`, calling the same
 transport-agnostic :class:`repro.store.server.StoreApp` the threaded server
 wraps, so routes, status codes and auth are identical across front ends by
@@ -20,28 +20,34 @@ in-flight request occupy a worker.  The loop enforces what threads cannot:
 * **keep-alive by default** (HTTP/1.1 semantics, ``Connection: close``
   honored, HTTP/1.0 gets close-by-default);
 * **read timeouts** — an idle or stalled connection is dropped by the loop's
-  timeout scan, and a stalled *upload* body times out inside
-  :class:`_BodyChannel` (surfacing as a 400 to the client), so slow clients
-  can never pin a worker forever;
+  timeout scan; a request with a body lends its socket to the worker that
+  handles it, whose :class:`~repro.store.server.BodyReader` bounds every
+  read, so a stalled or cut-off upload is a 400 (as on the threaded front
+  end), never a pinned worker;
 * **a max-connections guard** — accepts beyond the cap get an immediate
   best-effort ``503`` and never reach the selector loop's bookkeeping;
-* **backpressure** — a body channel buffering past its high-water mark
-  pauses reads on that connection until the worker catches up.
+* **backpressure** — the loop never reads a lent socket, so TCP flow control
+  paces an uploading client to the worker reading its body.
 
 Threading discipline (this module has exactly three kinds of threads):
 
 * the *loop thread* (whoever calls :meth:`serve_forever`) exclusively owns
-  every ``_Conn``, the selector, and the ``_conns`` / ``_paused`` sets — no
-  locks needed; its resident reads take only short critical sections and
-  never decode, read a source, or wait on another thread's tile load;
-* *worker threads* touch only the :class:`_BodyChannel` (internally locked)
-  and the completion queue (a ``SimpleQueue``), then wake the loop over a
-  socketpair;
+  every ``_Conn``, the selector and the ``_conns`` set — no locks needed;
+  its resident reads take only short critical sections and never decode,
+  read a source, or wait on another thread's tile load;
+* *worker threads* touch only a connection the loop handed them (a bodied
+  request's socket, through its ``BodyReader``) and the completion queue
+  (a ``SimpleQueue``), then wake the loop over a socketpair;
 * any thread may call :meth:`shutdown`.
 
-A handler never sees a socket, and the loop never blocks on a body: the
-channel is the only bridge, and dropping a connection feeds the channel EOF
-so a blocked worker always unblocks.
+The loop never writes to, reads from or ``close()``s a socket a worker holds:
+lending unregisters it and clears ``_Conn.sock`` until the completion hands
+it back with the glued bytes the body left unread.  Dropping a held
+connection (:meth:`server_close`) does ``shutdown(SHUT_RDWR)``, which wakes a
+blocked ``recv``; the close happens when the completion is processed, or once
+the worker pool has drained, so a reused fd number can never be read by the
+wrong thread.  The interim ``100 Continue`` is the worker's to send, before
+its first body read.
 """
 
 from __future__ import annotations
@@ -54,12 +60,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
-from typing import Any, Callable, Dict, Optional, Set, Tuple, cast
+from typing import Any, Dict, Optional, Set, Tuple, cast
 
 from repro.store.ingest import IngestManager
-from repro.store.server import Request, Response, StoreApp
+from repro.store.server import BodyReader, Request, Response, StoreApp
 from repro.store.store import ArchiveStore
-from repro.utils.concurrency import install_guards, make_lock
 
 __all__ = ["AsyncStoreHTTPServer"]
 
@@ -72,143 +77,26 @@ _RECV_BYTES = 1 << 16
 _MAX_HEADER_BYTES = 1 << 16
 #: Cap on buffered pipelined bytes while a request is in flight.
 _MAX_BUFFERED_BYTES = 1 << 20
-#: Pause reading a connection whose body channel buffers past this.  Must
-#: stay above the largest single ``rfile.read`` the parsers issue (1 MiB
-#: in ``read_sized_stream``) so a paused channel can always satisfy the
-#: blocked read from what it already holds.
-_BODY_HIGH_WATER = 4 << 20
 #: How long a closing connection drains inbound bytes before the real
 #: close, so the client can read the response before any RST.
 _LINGER_SECONDS = 2.0
 #: Largest resident region the loop answers itself; bigger ones are pooled.
 _INLINE_REGION_BYTES = 1 << 20
-
-
-class _BodyChannel:
-    """The blocking body ``rfile`` a worker reads, fed by the event loop.
-
-    Mirrors socket-``makefile`` semantics the body parsers rely on:
-    ``read(n)`` returns exactly ``n`` bytes unless EOF arrives first, and
-    ``readline`` honors its byte limit.  ``timeout`` bounds each blocking
-    wait; expiry raises ``ValueError("corrupt upload body: ...")``, which
-    the app's upload routes answer with a connection-closing 400.
-
-    The loop feeds *every* byte received while the request is in flight —
-    including pipelined follow-up requests; :meth:`take_leftover` hands the
-    unconsumed tail back when the response is queued.
-    """
-
-    def __init__(self, timeout: Optional[float],
-                 on_drain: Callable[[], None]) -> None:
-        self._cond = threading.Condition(
-            cast(threading.Lock, make_lock("_BodyChannel._cond")))
-        self._buf = bytearray()  # guarded by: self._cond
-        self._eof = False  # guarded by: self._cond
-        self._timeout = timeout
-        self._on_drain = on_drain
-
-    # ------------------------------------------------------------- loop side
-    def feed(self, data: bytes) -> None:
-        with self._cond:
-            self._buf += data
-            self._cond.notify_all()
-
-    def feed_eof(self) -> None:
-        with self._cond:
-            self._eof = True
-            self._cond.notify_all()
-
-    def buffered(self) -> int:
-        with self._cond:
-            return len(self._buf)
-
-    def take_leftover(self) -> bytes:
-        """Unconsumed bytes (pipelined requests); also marks EOF so a
-        still-blocked reader can never hang after its response is queued."""
-        with self._cond:
-            self._eof = True
-            data = bytes(self._buf)
-            del self._buf[:]
-            self._cond.notify_all()
-            return data
-
-    # ----------------------------------------------------------- worker side
-    def read(self, n: Optional[int] = -1) -> bytes:
-        if n is None or n < 0:
-            return self._read_all()
-        if n == 0:
-            return b""
-        deadline = self._deadline()
-        with self._cond:
-            while len(self._buf) < n and not self._eof:
-                self._block(deadline)
-            take = min(n, len(self._buf))
-            data = bytes(self._buf[:take])
-            del self._buf[:take]
-        if data:
-            self._on_drain()
-        return data
-
-    def readline(self, limit: int = -1) -> bytes:
-        deadline = self._deadline()
-        with self._cond:
-            while True:
-                idx = self._buf.find(b"\n")
-                if idx >= 0:
-                    end = idx + 1
-                    if 0 <= limit < end:
-                        end = limit
-                    break
-                if 0 <= limit <= len(self._buf):
-                    end = limit
-                    break
-                if self._eof:
-                    end = len(self._buf)
-                    break
-                self._block(deadline)
-            data = bytes(self._buf[:end])
-            del self._buf[:end]
-        if data:
-            self._on_drain()
-        return data
-
-    def _read_all(self) -> bytes:
-        deadline = self._deadline()
-        with self._cond:
-            while not self._eof:
-                self._block(deadline)
-            data = bytes(self._buf)
-            del self._buf[:]
-        if data:
-            self._on_drain()
-        return data
-
-    def _deadline(self) -> Optional[float]:
-        return None if self._timeout is None else time.monotonic() + self._timeout
-
-    def _block(self, deadline: Optional[float]) -> None:
-        """One bounded wait for more bytes.  Must hold ``self._cond``."""
-        if deadline is None:
-            self._cond.wait()
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise ValueError(
-                "corrupt upload body: timed out waiting for request bytes")
-        self._cond.wait(remaining)
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 class _Conn:
     """Loop-thread-only state of one client connection.
 
     ``state`` walks ``headers`` (accumulating a request head) ->
-    ``dispatched`` (a worker owns the request, body bytes go to the
-    channel; skipped by resident reads) -> ``writing`` (draining the
-    response) -> back to ``headers`` (keep-alive) or ``draining`` (lingering
-    close: write side shut, inbound discarded until EOF or deadline).
+    ``dispatched`` (a worker owns the request — and, when it has a body,
+    the socket: ``sock`` is ``None`` and ``reader`` holds it; skipped by
+    resident reads) -> ``writing`` (draining the response) -> back to
+    ``headers`` (keep-alive) or ``draining`` (lingering close: write side
+    shut, inbound discarded until EOF or deadline).
     """
 
-    __slots__ = ("sock", "inbuf", "outbuf", "state", "channel", "close_after",
+    __slots__ = ("sock", "inbuf", "outbuf", "state", "reader", "close_after",
                  "last_active", "linger_deadline", "registered", "events")
 
     def __init__(self, sock: socket.socket) -> None:
@@ -216,7 +104,7 @@ class _Conn:
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.state = "headers"
-        self.channel: Optional[_BodyChannel] = None
+        self.reader: Optional[BodyReader] = None
         self.close_after = False
         self.last_active = time.monotonic()
         self.linger_deadline = 0.0
@@ -264,7 +152,6 @@ class AsyncStoreHTTPServer:
         self._completions: "queue.SimpleQueue[Tuple[_Conn, Response]]" = \
             queue.SimpleQueue()
         self._conns: Set[_Conn] = set()
-        self._paused: Set[_Conn] = set()
         self._shutdown_requested = False
         self._stopped = threading.Event()
         self._stopped.set()  # not running until serve_forever starts
@@ -300,7 +187,6 @@ class AsyncStoreHTTPServer:
                             self._flush(conn)
                             self._try_parse(conn)
                 self._process_completions()
-                self._resume_paused()
                 self._check_timeouts(time.monotonic())
         finally:
             self._stopped.set()
@@ -316,9 +202,17 @@ class AsyncStoreHTTPServer:
         self._shutdown_requested = True
         self._wake()
         self._stopped.wait(timeout=5.0)
+        for conn in self._conns:
+            if conn.reader is not None:  # lent: wake a worker blocked on it
+                try:
+                    conn.reader.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # pragma: no cover
+                    pass
+        # With the pool drained no other thread holds a socket: close all.
+        self._pool.shutdown(wait=True, cancel_futures=True)
         for conn in list(self._conns):
+            self._reclaim(conn)
             self._drop(conn)
-        self._pool.shutdown(wait=False)
         for sock in (self._listen, self._wake_send, self._wake_recv):
             try:
                 sock.close()
@@ -369,9 +263,7 @@ class AsyncStoreHTTPServer:
             pass
         conn = _Conn(sock)
         self._conns.add(conn)
-        self._selector.register(sock, selectors.EVENT_READ, conn)
-        conn.registered = True
-        conn.events = selectors.EVENT_READ
+        self._update_events(conn)
         return conn
 
     def _refuse(self, sock: socket.socket) -> None:
@@ -402,17 +294,14 @@ class AsyncStoreHTTPServer:
             self._drop(conn)
             return
         if not data:
-            # Client FIN (or full close).  If a worker is mid-request its
-            # channel gets EOF so it unblocks; its completion is discarded.
+            # Client FIN (or full close).  A body-less request in flight has
+            # its completion discarded; a bodied one's socket is lent, so
+            # the worker's reader sees this EOF instead and answers 400.
             self._drop(conn)
             return
         if conn.state == "draining":
             return  # lingering close: discard until EOF or deadline
         conn.last_active = time.monotonic()
-        if conn.channel is not None:
-            conn.channel.feed(data)
-            self._update_events(conn)  # may pause past the high-water mark
-            return
         conn.inbuf += data
         if conn.state == "headers":
             self._try_parse(conn)
@@ -471,18 +360,19 @@ class AsyncStoreHTTPServer:
                 declared = int(headers.get("content-length", "0"))
             except ValueError:
                 declared = 0  # the app answers a bad Content-Length with 400
-            rfile: Any
+            rfile: Any = io.BytesIO(b"")
             if "chunked" in te.lower() or declared > 0:
-                channel: Optional[_BodyChannel] = _BodyChannel(
-                    self.read_timeout, self._wake)
-                rfile = channel
-            else:
-                channel = None
-                rfile = io.BytesIO(b"")
-            if headers.get("expect", "").lower() == "100-continue":
-                conn.outbuf += b"HTTP/1.1 100 Continue\r\n\r\n"
+                # The worker reads its own body: lend it the socket plus the
+                # body bytes glued to the head, until the completion is back.
+                expect = headers.get("expect", "").lower() == "100-continue"
+                rfile = conn.reader = BodyReader(
+                    cast(socket.socket, conn.sock), self.read_timeout,
+                    prefix=bytes(buf), interim=_CONTINUE if expect else b"")
+                del buf[:]
+                self._unregister(conn)
+                conn.sock = None
             request = Request(method, target, headers, rfile)
-            if channel is None and method == "GET":
+            if conn.reader is None and method == "GET":
                 try:
                     response = self.app.handle_resident(
                         request, _INLINE_REGION_BYTES)
@@ -492,21 +382,14 @@ class AsyncStoreHTTPServer:
                     self._queue_response(conn, response)
                     continue
             conn.state = "dispatched"
-            conn.channel = channel
             conn.last_active = time.monotonic()
-            if channel is not None and buf:
-                # Body bytes that arrived glued to the head.
-                channel.feed(bytes(buf))
-                del buf[:]
             try:
                 self._pool.submit(self._run_handler, conn, request)
             except RuntimeError:  # pool shut down: the server is closing
+                self._reclaim(conn)
                 self._drop(conn)
                 return
-            if conn.outbuf:
-                self._flush(conn)
-            else:
-                self._update_events(conn)
+            self._update_events(conn)
 
     # ---------------------------------------------------------- worker thread
     def _run_handler(self, conn: _Conn, request: Request) -> None:
@@ -532,16 +415,20 @@ class AsyncStoreHTTPServer:
                 conn, response = self._completions.get_nowait()
             except queue.Empty:
                 return
-            channel = conn.channel
-            conn.channel = None
+            self._reclaim(conn)
             if conn.sock is None:
                 continue  # the connection died while the handler ran
-            if channel is not None:
-                leftover = channel.take_leftover()
-                if leftover:
-                    conn.inbuf[:0] = leftover
             self._queue_response(conn, response)
             self._try_parse(conn)
+
+    @staticmethod
+    def _reclaim(conn: _Conn) -> None:
+        """Take back a lent socket (unregistered, non-blocking as the reader
+        left it); glued bytes the body left are the next requests."""
+        reader = conn.reader
+        if reader is not None:
+            conn.sock, conn.reader = reader.sock, None
+            conn.inbuf[:0] = reader.prefix
 
     def _queue_response(self, conn: _Conn, response: Response) -> None:
         if conn.sock is None:
@@ -621,34 +508,19 @@ class AsyncStoreHTTPServer:
         self._update_events(conn)
 
     # ----------------------------------------------------- loop: housekeeping
-    def _read_paused(self, conn: _Conn) -> bool:
-        if conn.state == "draining":
-            return False
-        channel = conn.channel
-        if channel is not None:
-            return channel.buffered() >= _BODY_HIGH_WATER
-        return len(conn.inbuf) >= _MAX_BUFFERED_BYTES
-
     def _update_events(self, conn: _Conn) -> None:
         sock = conn.sock
         if sock is None:
             return
+        # Reads pause while pipelined bytes pile up behind a request in
+        # flight; whatever shrinks ``inbuf`` then calls this, resuming them.
         mask = 0
-        if not self._read_paused(conn):
+        if conn.state == "draining" or len(conn.inbuf) < _MAX_BUFFERED_BYTES:
             mask |= selectors.EVENT_READ
         if conn.outbuf:
             mask |= selectors.EVENT_WRITE
-        if mask & selectors.EVENT_READ:
-            self._paused.discard(conn)
-        else:
-            self._paused.add(conn)
         if mask == 0:
-            if conn.registered:
-                try:
-                    self._selector.unregister(sock)
-                except (KeyError, ValueError):  # pragma: no cover
-                    pass
-                conn.registered = False
+            self._unregister(conn)
             return
         if not conn.registered:
             self._selector.register(sock, mask, conn)
@@ -657,12 +529,6 @@ class AsyncStoreHTTPServer:
         elif mask != conn.events:
             self._selector.modify(sock, mask, conn)
             conn.events = mask
-
-    def _resume_paused(self) -> None:
-        if not self._paused:
-            return
-        for conn in list(self._paused):
-            self._update_events(conn)
 
     def _check_timeouts(self, now: float) -> None:
         if now - self._last_scan < 0.25:
@@ -676,31 +542,26 @@ class AsyncStoreHTTPServer:
                     and conn.state != "dispatched"
                     and now - conn.last_active > self.read_timeout):
                 # "dispatched" is excluded: a stalled upload is timed out by
-                # its _BodyChannel (bounded per-read waits), and a long
-                # decode must not be killed under the worker.
+                # the worker's BodyReader (bounded per-call waits), and a
+                # long decode must not be killed under the worker.
                 self._drop(conn)
 
     def _drop(self, conn: _Conn) -> None:
         sock = conn.sock
         if sock is None:
             return
+        self._unregister(conn)
         conn.sock = None
-        if conn.registered:
-            try:
-                self._selector.unregister(sock)
-            except (KeyError, ValueError, OSError):  # pragma: no cover
-                pass
-            conn.registered = False
         self._conns.discard(conn)
-        self._paused.discard(conn)
-        channel = conn.channel
-        conn.channel = None
-        if channel is not None:
-            channel.feed_eof()  # a blocked worker must never hang
         try:
             sock.close()
         except OSError:  # pragma: no cover
             pass
 
-
-install_guards(_BodyChannel, "_cond", ("_buf", "_eof"))
+    def _unregister(self, conn: _Conn) -> None:
+        if conn.registered:
+            try:
+                self._selector.unregister(cast(socket.socket, conn.sock))
+            except (KeyError, ValueError, OSError):  # pragma: no cover
+                pass
+            conn.registered = False

@@ -99,7 +99,7 @@ def read_sized_stream(rfile, length: int, *,
 def read_chunked_stream(rfile, *, io_chunk: int = _IO_CHUNK) -> Iterator[bytes]:
     """Decode an HTTP/1.1 ``Transfer-Encoding: chunked`` body from ``rfile``.
 
-    ``http.server`` hands the raw socket stream to the handler, so the chunk
+    Both HTTP front ends hand the route the raw body stream, so the chunk
     framing (hex size line, payload, CRLF, 0-chunk, optional trailers) is
     parsed here.  Yields payload pieces of at most ``io_chunk`` bytes;
     malformed framing raises ``ValueError("corrupt chunked body ...")``.

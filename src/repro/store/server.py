@@ -69,7 +69,8 @@ When the manifest carries bearer tokens, mutating routes require
 ``"*"`` default) and fail closed with 401; read routes stay open.
 
 Errors are JSON bodies ``{"error": ...}``: 400 for malformed requests or
-upload bodies, 404 for unknown keys/routes, 405 for writes to a read-only
+upload bodies (one that stalls past the read timeout or ends short
+included), 404 for unknown keys/routes, 405 for writes to a read-only
 server, 500 for decode/verify failures (e.g. a corrupt tile).  A 500 is
 scoped to the affected request — failed decodes are never cached, so other
 regions (and retries) keep serving.  Response metadata for a region is
@@ -81,10 +82,12 @@ replace.
 from __future__ import annotations
 
 import hmac
+import io
 import json
 import logging
 import math
 import re
+import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple,
@@ -186,11 +189,10 @@ class Request:
     """One parsed HTTP request, independent of the transport that read it.
 
     ``headers`` maps lower-cased names to values; ``rfile`` is a blocking
-    file-like positioned at the first body byte (the threaded server hands
-    the socket's rfile, the async server a body channel fed by its event
-    loop).  Handlers that consume a body read exactly the framed bytes on
-    success; error paths answer with ``close=True`` so unread bytes can
-    never desynchronize keep-alive framing.
+    file-like positioned at the first body byte — a :class:`BodyReader` from
+    either front end.  Handlers that consume a body read exactly the framed
+    bytes on success; error paths answer with ``close=True`` so unread bytes
+    can never desynchronize keep-alive framing.
     """
 
     __slots__ = ("method", "target", "headers", "rfile")
@@ -219,6 +221,87 @@ class Response:
         self.body = body
         self.headers = headers if headers is not None else {}
         self.close = close
+
+
+class BodyReader:
+    """The blocking ``rfile`` a route reads its request body from.
+
+    The threaded handler wraps its connection's buffered file (``rfile``); a
+    selectors worker reads the socket the loop lent it, after the body bytes
+    glued to the request head (``prefix``, which keeps what the body left).
+    ``read(n)`` returns exactly ``n`` bytes unless EOF comes first,
+    ``readline(limit)`` honours its limit, and neither reads past what is
+    asked, so pipelined requests stay where the next parse looks.  Each call
+    finishes within ``timeout`` seconds or raises ``ValueError("corrupt
+    upload body: timed out ...")`` — a connection-closing 400, like a body
+    cut short by EOF — and leaves the socket's own timeout as it found it.
+    ``interim`` (a ``100 Continue``) is sent before the first read.
+    """
+
+    def __init__(self, sock: socket.socket, timeout: Optional[float], *,
+                 rfile: Optional[io.BufferedReader] = None,
+                 prefix: bytes = b"", interim: bytes = b"") -> None:
+        self.sock = sock
+        self.prefix = bytearray(prefix)
+        self._timeout = timeout
+        self._rfile = rfile
+        self._interim = interim
+        self._sock_timeout = sock.gettimeout()
+
+    def read(self, n: int) -> bytes:
+        return self._call(n, line=False)
+
+    def readline(self, limit: int) -> bytes:
+        return self._call(limit, line=True)
+
+    def _call(self, n: int, line: bool) -> bytes:
+        deadline = None if self._timeout is None \
+            else time.monotonic() + self._timeout
+        out = bytearray()
+        try:
+            if self._interim:
+                self._arm(deadline)
+                self.sock.sendall(self._interim)
+                self._interim = b""
+            while len(out) < n:
+                want = n - len(out)
+                if line:  # look before taking: stop right after a newline
+                    ahead = self._recv(want, deadline, peek=True)
+                    want = ahead.find(b"\n") + 1 or len(ahead)
+                piece = self._recv(want, deadline) if want else b""
+                if not piece:
+                    break  # EOF: the parser reports the truncation
+                out += piece
+                if line and piece.endswith(b"\n"):
+                    break
+        except socket.timeout:
+            raise ValueError("corrupt upload body: timed out waiting for "
+                             "request bytes") from None
+        except ConnectionResetError:
+            pass  # a reset cuts the body short, as EOF does
+        finally:
+            self.sock.settimeout(self._sock_timeout)
+        return bytes(out)
+
+    def _arm(self, deadline: Optional[float]) -> None:
+        """Bound the next socket wait by what is left of the call's deadline."""
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0:
+            raise socket.timeout
+        self.sock.settimeout(left)
+
+    def _recv(self, n: int, deadline: Optional[float],
+              peek: bool = False) -> bytes:
+        """Up to ``n`` bytes from one bounded wait, left unread if ``peek``."""
+        if self.prefix:
+            data = bytes(self.prefix[:n])
+            if not peek:
+                del self.prefix[:n]
+            return data
+        self._arm(deadline)
+        if self._rfile is not None:
+            return self._rfile.peek(n)[:n] if peek else self._rfile.read1(n)
+        return self.sock.recv(n, socket.MSG_PEEK if peek else 0)
 
 
 #: The single-span byte-range forms ``a-b`` / ``a-`` / ``-n``.
@@ -788,9 +871,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def setup(self) -> None:
-        read_timeout = getattr(self.server, "read_timeout", None)
-        if read_timeout is not None:
-            self.timeout = read_timeout  # per-connection socket timeout
+        self.timeout = self.server.read_timeout  # the connection's timeout
         super().setup()
 
     # ----------------------------------------------------------------- routes
@@ -805,14 +886,10 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         headers = {name.lower(): value for name, value in self.headers.items()}
-        request = Request(method, self.path, headers, self.rfile)
-        try:
-            response = self.server.app.handle(request)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            # The client went away while its upload body was being read;
-            # nothing to salvage and nobody to answer.
-            self.close_connection = True
-            return
+        body = BodyReader(self.connection, self.timeout,
+                          rfile=cast(io.BufferedReader, self.rfile))
+        request = Request(method, self.path, headers, body)
+        response = self.server.app.handle(request)
         try:
             self._send(response)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover

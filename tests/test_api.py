@@ -292,6 +292,27 @@ class TestArchiveFormat:
             with pytest.raises(ValueError, match="corrupt archive"):
                 Archive.from_bytes(bad)
 
+    def test_missing_or_null_crc_raises_corrupt(self, blob):
+        """Every v1 archive ``to_bytes`` writes carries ``crc``: a header
+        without one (key deleted, or ``null``) is refused, never decoded
+        unchecked — even when the payload underneath is untouched."""
+        import json
+        import struct
+
+        (hlen,) = struct.unpack_from("<I", blob, 6)
+        header = json.loads(blob[10:10 + hlen])
+        for drop in (True, False):
+            if drop:
+                header.pop("crc", None)
+            else:
+                header["crc"] = None
+            hb = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+            bad = blob[:6] + struct.pack("<I", len(hb)) + hb + blob[10 + hlen:]
+            with pytest.raises(ValueError, match="corrupt archive: missing"):
+                Archive.from_bytes(bad)
+            with pytest.raises(ValueError, match="corrupt archive"):
+                repro.decompress(bad)
+
     def test_trailing_garbage_raises_corrupt(self, blob):
         with pytest.raises(ValueError, match="corrupt archive.*trailing"):
             Archive.from_bytes(blob + b"\x00garbage")

@@ -3,7 +3,7 @@
 `test_store_server.py` already runs the whole endpoint contract against both
 front ends; this module covers what only shows up at the transport level —
 keep-alive framing across bodied requests and 4xx-with-unread-body uploads,
-the replace-vs-read metadata race the atomic read path fixes, per-connection
+stalled, cut-off and ``Expect: 100-continue`` bodies, the replace-vs-read metadata race the atomic read path fixes, per-connection
 read timeouts, the max-connections guard — plus the client-side bugfixes
 (URL base path, non-finite range, 0-d sources).
 """
@@ -146,6 +146,22 @@ class TestKeepAliveFraming:
             # The glued GET must never be answered; the socket just ends.
             assert f.read() == b""
 
+    def test_expect_100_continue_before_the_body(self, server):
+        """The client sends only the head, reads ``100 Continue``, and only
+        then sends the body — and gets the final answer."""
+        payload = json.dumps({"regions": ["0:2,0:2,0:2"]}).encode()
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(b"POST /v1/field/regions HTTP/1.1\r\nHost: t\r\n"
+                      b"Expect: 100-continue\r\nContent-Length: "
+                      + str(len(payload)).encode() + b"\r\n\r\n")
+            assert f.readline().split(None, 2)[:2] == [b"HTTP/1.1", b"100"]
+            assert f.readline() == b"\r\n"
+            s.sendall(payload)
+            status, _, body = _read_response(f)
+            assert status == 200 and len(body) == 2 * 2 * 2 * 8
+
     def test_request_then_4xx_then_fresh_connection(self, server):
         with socket.create_connection(server.server_address[:2],
                                       timeout=30) as s:
@@ -162,6 +178,88 @@ class TestKeepAliveFraming:
             f = s.makefile("rb")
             s.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             assert _read_response(f)[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# Upload bodies: one reader, one answer (both front ends)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["threaded", "selectors"])
+def writable_server(grid_path, tmp_path, request):
+    """A writable server with a one-second read timeout."""
+    store = ArchiveStore()
+    store.add("field", grid_path)
+    manager = IngestManager(tmp_path / "root", store)
+    srv, thread = _start(store, server=request.param, ingest=manager,
+                         read_timeout=1.0)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        store.close()
+        thread.join(timeout=10)
+
+
+#: Heads of a 100-byte upload to each body-reading route.
+_UPLOAD_HEADS = {
+    "regions": b"POST /v1/field/regions HTTP/1.1\r\nHost: t\r\n",
+    "ingest": (b"POST /v1/up HTTP/1.1\r\nHost: t\r\nX-Repro-Shape: 25\r\n"
+               b"X-Repro-Dtype: float32\r\nX-Repro-Bound: 1e-3\r\n"
+               b"X-Repro-Bound-Mode: abs\r\n"),
+}
+
+
+class TestUploadBodies:
+    @pytest.mark.parametrize("route", sorted(_UPLOAD_HEADS))
+    def test_stalled_body_is_a_400_and_others_are_served(
+            self, writable_server, route):
+        start = time.monotonic()
+        with socket.create_connection(writable_server.server_address[:2],
+                                      timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(_UPLOAD_HEADS[route]
+                      + b"Content-Length: 100\r\n\r\n" + b"x" * 13)
+            # The stalled upload holds no one up: another client is served.
+            assert _fetch(writable_server.url, "/v1/field/info")[0] == 200
+            status, headers, body = _read_response(f)
+            elapsed = time.monotonic() - start
+        assert status == 400 and headers.get("connection") == "close"
+        assert json.loads(body)["error"].startswith(
+            "corrupt upload body: timed out")
+        assert elapsed < 2.5
+
+    @pytest.mark.parametrize("route", sorted(_UPLOAD_HEADS))
+    def test_half_closed_body_is_a_400(self, writable_server, route):
+        with socket.create_connection(writable_server.server_address[:2],
+                                      timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(_UPLOAD_HEADS[route]
+                      + b"Content-Length: 100\r\n\r\n" + b"x" * 13)
+            s.shutdown(socket.SHUT_WR)
+            status, headers, body = _read_response(f)
+        assert status == 400 and headers.get("connection") == "close"
+        assert "truncated 87 bytes" in json.loads(body)["error"]
+
+    def test_chunked_upload_then_pipelined_get(self, writable_server):
+        """A chunked body's reader stops at the terminating chunk: the GET
+        glued behind it is the next request."""
+        data = np.arange(16, dtype=np.float32).tobytes()
+        chunked = b"".join(b"%x\r\n%s\r\n" % (len(piece), piece)
+                           for piece in (data[:24], data[24:])) + b"0\r\n\r\n"
+        post = (b"POST /v1/up HTTP/1.1\r\nHost: t\r\nX-Repro-Shape: 4,4\r\n"
+                b"X-Repro-Dtype: float32\r\nX-Repro-Bound: 1e-3\r\n"
+                b"X-Repro-Bound-Mode: abs\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n" + chunked)
+        get = b"GET /v1/up/info HTTP/1.1\r\nHost: t\r\n\r\n"
+        with socket.create_connection(writable_server.server_address[:2],
+                                      timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(post + get)
+            status, _, body = _read_response(f)
+            assert status == 201 and json.loads(body)["created"]
+            status, _, body = _read_response(f)
+            assert status == 200 and json.loads(body)["shape"] == [4, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +345,34 @@ class TestAsyncGuards:
         finally:
             srv.shutdown()
             srv.server_close()
+            store.close()
+            thread.join(timeout=10)
+
+    def test_server_close_wakes_a_worker_blocked_on_a_body(self, grid_path):
+        """With no read timeout only server_close can free a worker blocked
+        on a stalled body: it shuts the lent socket down (the client sees
+        EOF), lets the worker finish, then closes the socket."""
+        store = ArchiveStore()
+        store.add("field", grid_path)
+        srv, thread = _start(store)
+        try:
+            with socket.create_connection(srv.server_address,
+                                          timeout=30) as s:
+                s.sendall(b"POST /v1/field/regions HTTP/1.1\r\nHost: t\r\n"
+                          b"Content-Length: 100\r\n\r\n")
+                deadline = time.monotonic() + 10
+                lent = []
+                while not lent and time.monotonic() < deadline:
+                    lent = [c.reader.sock for c in list(srv._conns)
+                            if c.reader is not None]
+                    time.sleep(0.01)
+                assert lent, "the bodied request never reached a worker"
+                srv.shutdown()
+                srv.server_close()
+                s.settimeout(10)
+                assert s.recv(1024) == b""
+                assert lent[0].fileno() == -1
+        finally:
             store.close()
             thread.join(timeout=10)
 
@@ -536,7 +662,7 @@ def test_a_failed_inline_answer_is_recorded_once(grid_path, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# Write path over the selectors front end (chunked upload via the channel)
+# Write path over the selectors front end (chunked upload, lent socket)
 # ---------------------------------------------------------------------------
 
 class TestAsyncWritePath:
