@@ -657,10 +657,9 @@ def decode_tile(index: Union[Archive, ChunkedIndex, GridIndex], i: int,
 
     ``raw`` must already have passed ``index.check_tile(i, ...)`` (the check
     belongs next to the read so corrupt bytes fail before any decode work).
-    This is the single-tile decode + validate step the
-    :class:`repro.store.ArchiveStore` tile cache runs; the streaming region
-    reader decodes through its worker pool and applies the same
-    shape validation.
+    The public form of :func:`_decode_parsed_tile`, the one per-tile decode
+    step every read path runs (the :class:`repro.store.ArchiveStore` tile
+    cache runs it on ``index.tile_archive``'s already-parsed tile).
     """
     return _decode_parsed_tile(i, Archive.from_bytes(raw), index.tile_shape(i),
                                model, autoencoder, codec_options)
@@ -856,7 +855,10 @@ def _place(result: Optional[np.ndarray], bounds, index, i: int,
                 f"chunk reconstructed as {piece.dtype}; pass a float64 out "
                 f"array (always safe) or omit out")
     elif piece.dtype.itemsize > result.dtype.itemsize:
-        result = result.astype(piece.dtype)
+        # Parts not yet written are uninitialized memory: a signaling-NaN
+        # bit pattern there would raise "invalid value" on the cast.
+        with np.errstate(invalid="ignore"):
+            result = result.astype(piece.dtype)
     result[local] = piece
     return result
 

@@ -329,10 +329,7 @@ class Archive(_Envelope):
                 raise ValueError(f"corrupt archive: truncated {what}")
             return data[pos:pos + n], pos + n
 
-        if len(data) < 4 or data[:4] != ARCHIVE_MAGIC:
-            raise ValueError("corrupt archive: bad magic (not a repro archive)")
-        raw, pos = take(4, _U16.size, "version field")
-        (version,) = _U16.unpack(raw)
+        version, header, pos = _parse_front(data)
         if version == CHUNKED_ARCHIVE_VERSION:
             raise ValueError(
                 "this is a chunked (multi-chunk) archive; parse it with "
@@ -346,15 +343,6 @@ class Archive(_Envelope):
             )
         if version != ARCHIVE_VERSION:
             raise _unsupported_version(version)
-        raw, pos = take(pos, _LEN.size, "header length")
-        (hlen,) = _LEN.unpack(raw)
-        raw, pos = take(pos, hlen, "header")
-        try:
-            header = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"corrupt archive: unreadable header ({exc})") from None
-        if not isinstance(header, dict):
-            raise ValueError("corrupt archive: header is not a JSON object")
         fields = _common_header_fields(header)
 
         raw, pos = take(pos, _QLEN.size, "payload length")
@@ -413,16 +401,24 @@ def front_size(prefix: bytes) -> int:
     the fixed prefix, one for the JSON header it sizes.
     """
     prefix = bytes(prefix[:FRONT_PREFIX])
-    if prefix[:4] != ARCHIVE_MAGIC:
+    _front_version(prefix)
+    (hlen,) = _LEN.unpack_from(prefix, 4 + _U16.size)
+    return FRONT_PREFIX + hlen
+
+
+def _front_version(data: bytes) -> int:
+    """The version of an archive whose first bytes are ``data``, after
+    checking its magic and that ``data`` holds the fixed front matter."""
+    if data[:4] != ARCHIVE_MAGIC:
         raise ValueError("corrupt archive: bad magic (not a repro archive)")
-    if len(prefix) < FRONT_PREFIX:
+    if len(data) < FRONT_PREFIX:
         # Valid magic but the source ended inside the fixed front matter:
         # report truncation, not a misleading magic failure.
         raise ValueError(
-            f"corrupt archive: truncated front matter ({len(prefix)} bytes, "
+            f"corrupt archive: truncated front matter ({len(data)} bytes, "
             f"need at least {FRONT_PREFIX})")
-    (hlen,) = _LEN.unpack_from(prefix, 4 + _U16.size)
-    return FRONT_PREFIX + hlen
+    (version,) = _U16.unpack_from(data, 4)
+    return version
 
 
 def parse_front(data: bytes) -> Tuple[int, dict, int]:
@@ -433,12 +429,13 @@ def parse_front(data: bytes) -> Tuple[int, dict, int]:
     bytes that follow, which is what lets index parsing stay O(header) for
     arbitrarily large chunked/grid archives.
     """
-    data = bytes(data)
-    if len(data) < 4 or data[:4] != ARCHIVE_MAGIC:
-        raise ValueError("corrupt archive: bad magic (not a repro archive)")
-    if len(data) < FRONT_PREFIX:
-        raise ValueError("corrupt archive: truncated front matter")
-    (version,) = _U16.unpack_from(data, 4)
+    return _parse_front(bytes(data))
+
+
+def _parse_front(data: bytes) -> Tuple[int, dict, int]:
+    """:func:`parse_front` of ``bytes`` — also the front of every v1 tile
+    :meth:`Archive.from_bytes` parses, which is not an index parse."""
+    version = _front_version(data)
     (hlen,) = _LEN.unpack_from(data, 4 + _U16.size)
     if FRONT_PREFIX + hlen > len(data):
         raise ValueError("corrupt archive: truncated header")
@@ -599,11 +596,7 @@ def grid_shape_of(shape: Sequence[int], chunk_shape: Sequence[int]) -> Tuple[int
 def archive_version(data: bytes) -> int:
     """Format version of an archive blob (1 = single-shot, 2 = chunked,
     3 = N-d grid)."""
-    data = bytes(data[: 4 + _U16.size])
-    if len(data) < 4 + _U16.size or data[:4] != ARCHIVE_MAGIC:
-        raise ValueError("corrupt archive: bad magic (not a repro archive)")
-    (version,) = _U16.unpack_from(data, 4)
-    return version
+    return _front_version(bytes(data[:FRONT_PREFIX]))
 
 
 def is_grid_archive(data: bytes) -> bool:
@@ -843,18 +836,9 @@ def load_index(reader) -> Union[Archive, ChunkedIndex, GridIndex]:
     index against the total size.
     """
     prefix = reader.read_at(0, FRONT_PREFIX)
-    if len(prefix) < FRONT_PREFIX:
-        # A source shorter than the fixed front matter can never be an
-        # archive; say so before front_size unpacks garbage.
-        raise ValueError(
-            f"corrupt archive: truncated front matter ({len(prefix)} bytes, "
-            f"need at least {FRONT_PREFIX})")
-    total_front = front_size(prefix)
     if archive_version(prefix) == ARCHIVE_VERSION:
         return Archive.from_bytes(reader.read_all())
-    front = reader.read_at(0, total_front)
-    if len(front) < total_front:
-        raise ValueError("corrupt archive: truncated header")
+    front = reader.read_at(0, front_size(prefix))
     version, header, data_start = parse_front(front)
     if version == CHUNKED_ARCHIVE_VERSION:
         return ChunkedIndex.from_header(header, data_start, reader.size)

@@ -9,9 +9,9 @@ package is the serving layer:
   with single-flight loading (concurrent readers of the same tile block on
   one decode instead of repeating it).
 * :class:`ArchiveStore` — keeps archives open by key, parses each header
-  exactly once, and serves ``read_region`` / ``read_regions`` through the
-  shared cache using lock-free positional reads (``os.pread``); ``replace``
-  swaps a key to a new archive atomically while pinned readers drain.
+  exactly once, and serves single, batched and resident-only region reads
+  through one path over the shared cache and lock-free positional reads
+  (``os.pread``); ``replace`` swaps a key atomically while readers drain.
 * :class:`StoreManifest` / :class:`IngestManager` — the durable write path:
   a crash-safe JSON manifest under a ``--root`` directory, streaming
   compress-on-upload, staged+verified archive files and atomic

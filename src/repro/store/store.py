@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.api import (
     _decode_parsed_tile,
-    _gather,
     _place,
     load_index,
     normalize_region,
@@ -467,17 +466,9 @@ class ArchiveStore:
         bytes — the guarantee the HTTP layer needs to build response headers
         that match the body under concurrent ``replace``.
         """
-        entry = self._entry(key)
-        try:
-            bounds = self._bounds(entry, region)
-            self.counters.add("region_reads")
-            tiles = self._tiles(entry, entry.index.region_tiles(bounds),
-                                decode_workers)
-            arr = _gather(entry.index, bounds, tiles, out)
-            return arr, ReadInfo(entry.index, entry.generation, entry.etag,
-                                 bounds)
-        finally:
-            entry.unpin()
+        (arr,), (info,) = self._read(key, [region], out=out,
+                                     decode_workers=decode_workers)
+        return arr, info
 
     def read_resident(self, key: str, region, max_bytes: int
                       ) -> Optional[Tuple[np.ndarray, ReadInfo]]:
@@ -485,23 +476,8 @@ class ArchiveStore:
         ``max_bytes`` (in the archive's dtype) and every tile it touches is
         resident — no source read, decode or wait — else ``None``, counting
         nothing, so a fallback to ``read_region_with_info`` counts once."""
-        entry = self._entry(key)
-        try:
-            index = entry.index
-            bounds = self._bounds(entry, region)
-            if math.prod(b1 - b0 for b0, b1 in bounds) \
-                    * np.dtype(index.dtype).itemsize > max_bytes:
-                return None
-            ids = index.region_tiles(bounds)
-            tiles = self._cache.get_resident(
-                [(entry.token,) + index.tile_key(i) for i in ids])
-            if tiles is None:
-                return None
-            self.counters.add("region_reads")
-            return (_gather(index, bounds, zip(ids, tiles)),
-                    ReadInfo(index, entry.generation, entry.etag, bounds))
-        finally:
-            entry.unpin()
+        arrays, infos = self._read(key, [region], resident_bytes=max_bytes)
+        return (arrays[0], infos[0]) if arrays else None
 
     def read_regions(self, key: str, regions: Sequence, *,
                      decode_workers: int = 1) -> List[np.ndarray]:
@@ -514,8 +490,7 @@ class ArchiveStore:
         fans the union's distinct tiles out over a thread pool exactly as in
         :meth:`read_region`.
         """
-        return self.read_regions_with_info(key, regions,
-                                           decode_workers=decode_workers)[0]
+        return self._read(key, regions, decode_workers=decode_workers)[0]
 
     def read_regions_with_info(self, key: str, regions: Sequence, *,
                                decode_workers: int = 1
@@ -526,31 +501,65 @@ class ArchiveStore:
         the whole batch was decoded from (one atomic lookup for the batch);
         each carries its own normalized bounds.
         """
+        return self._read(key, regions, decode_workers=decode_workers)
+
+    # -------------------------------------------------------------- internals
+    def _read(self, key: str, regions: Iterable, *,
+              out: Optional[np.ndarray] = None, decode_workers: int = 1,
+              resident_bytes: Optional[int] = None
+              ) -> Tuple[List[np.ndarray], List[ReadInfo]]:
+        """The one region read behind every public read method: pin the
+        entry, normalize every region, fetch each distinct tile of the union
+        once (in storage order: sequential cold I/O) and crop it into every
+        region that needs it.  Returns ``(arrays, infos)``, one per region.
+
+        Tiles come from :meth:`_tiles` — or, with ``resident_bytes`` set, all
+        from the cache's resident set, and only if the regions fit that many
+        bytes in the archive's dtype; else ``([], [])`` with nothing counted.
+        ``out`` (one region) is shape-checked before any tile is read.
+        """
         entry = self._entry(key)
         try:
+            index = entry.index
             bounds_list = [self._bounds(entry, region) for region in regions]
-            self.counters.add("region_reads", len(bounds_list))
-            results: List[Optional[np.ndarray]] = [None] * len(bounds_list)
-            # tile id -> region indices that intersect it (insertion-ordered,
-            # so tiles are visited in row-major order: sequential cold I/O).
+            shapes = [tuple(b1 - b0 for b0, b1 in b) for b in bounds_list]
+            # tile id -> indices of the regions that intersect it
             wanted: Dict[int, List[int]] = {}
             for j, bounds in enumerate(bounds_list):
-                for i in entry.index.region_tiles(bounds):
+                for i in index.region_tiles(bounds):
                     wanted.setdefault(i, []).append(j)
-            for i, tile in self._tiles(entry, list(wanted), decode_workers):
+            ids = sorted(wanted)
+            if resident_bytes is None:
+                # Lazy: nothing is read before the count and the out check.
+                tiles = self._tiles(entry, ids, decode_workers)
+            else:
+                nbytes = sum(map(math.prod, shapes)) \
+                    * np.dtype(index.dtype).itemsize
+                cached = None if nbytes > resident_bytes else \
+                    self._cache.get_resident(
+                        [(entry.token,) + index.tile_key(i) for i in ids])
+                if cached is None:
+                    return [], []
+                tiles = zip(ids, cached)
+            self.counters.add("region_reads", len(bounds_list))
+            if out is not None and tuple(out.shape) != shapes[0]:
+                raise ValueError(f"out has shape {tuple(out.shape)}, "
+                                 f"region shape is {shapes[0]}")
+            results: List[Optional[np.ndarray]] = [out] * len(bounds_list)
+            for i, tile in tiles:
                 for j in wanted[i]:
-                    results[j] = _place(results[j], bounds_list[j],
-                                        entry.index, i, tile)
-            # A region no tile intersects is empty: gather of nothing.
-            arrays = [r if r is not None else _gather(entry.index, bounds, ())
-                      for r, bounds in zip(results, bounds_list)]
-            infos = [ReadInfo(entry.index, entry.generation, entry.etag,
-                              bounds) for bounds in bounds_list]
+                    results[j] = _place(results[j], bounds_list[j], index, i,
+                                        tile, fixed=out is not None)
+            # A region no tile intersects is empty, in the header dtype.
+            arrays = [r if r is not None else
+                      np.empty(shape, dtype=np.dtype(index.dtype))
+                      for r, shape in zip(results, shapes)]
+            infos = [ReadInfo(index, entry.generation, entry.etag, bounds)
+                     for bounds in bounds_list]
             return arrays, infos
         finally:
             entry.unpin()
 
-    # -------------------------------------------------------------- internals
     def _entry(self, key: str) -> _Entry:
         """Look up and **pin** an entry; the caller must ``unpin`` when done.
 
@@ -597,8 +606,9 @@ class ArchiveStore:
         """``(tile id, decoded tile)`` for ``tile_ids``, in order — where the
         store's decoded tiles come from: the shared single-flight cache.
 
-        Serially (``decode_workers == 1`` or fewer than two tiles) each tile
-        is fetched as the gather loop asks for it.  Otherwise every tile goes
+        Nothing is fetched until the result is first iterated.  Serially
+        (``decode_workers == 1`` or fewer than two tiles) each tile is then
+        fetched as the placement loop asks for it.  Otherwise every tile goes
         through exactly one :meth:`_tile` call on a bounded thread pool first:
         the same cache traffic, single-flight coalescing and ``tile_decodes``
         accounting as the serial loop, overlapped because zlib and NumPy

@@ -288,6 +288,7 @@ class TestIngestRoutes:
         assert not path.exists()
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(f"{url}/v1/temp/region?r=0:4,0:4")
+        exc.value.close()
         assert exc.value.code == 404
         with pytest.raises(PushError) as exc2:
             delete_key(url, "temp")
@@ -299,8 +300,9 @@ class TestIngestRoutes:
         push_field(url, "temp", arr, bound=1e-3, codec=CODEC)
         _fetch_region(url, "temp", "0:8,0:8")
         _fetch_region(url, "temp", "0:8,0:8")  # warm: second read hits cache
-        with pytest.raises(urllib.error.HTTPError):
+        with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(f"{url}/v1/absent/region?r=0:4,0:4")
+        exc.value.close()
 
         status, m = _get_json(f"{url}/metrics")
         assert status == 200 and m["writable"] is True
@@ -387,6 +389,8 @@ class TestCliEndToEnd:
         except subprocess.TimeoutExpired:  # pragma: no cover - cleanup only
             proc.kill()
             proc.wait(timeout=15)
+        proc.stdout.close()
+        proc.stderr.close()
 
     def test_push_read_restart_cycle(self, tmp_path):
         """ISSUE 7 acceptance: push -> bit-identical read -> restart -> read."""
@@ -460,6 +464,7 @@ class TestCliEndToEnd:
             assert gone.returncode == 0 and "deleted" in gone.stdout
             with pytest.raises(urllib.error.HTTPError) as exc:
                 urllib.request.urlopen(f"{url}/v1/temp/region?r=0:4,0:4")
+            exc.value.close()
             assert exc.value.code == 404
         finally:
             self._stop(proc)

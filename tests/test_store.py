@@ -670,3 +670,19 @@ class TestThreadedDecode:
                 store.read_region("g", tuple(
                     slice(s.start + 1, s.stop - 1) for s in slices_a),
                     decode_workers=2)
+
+    def test_failed_batch_counts_and_raises_earliest_stored_tile(
+            self, grid_path):
+        """A read that fails in decode still counts its regions, and a batch
+        raises its earliest failing tile in storage order, not in the order
+        its regions name the tiles."""
+        self._corrupt_tile(grid_path, 4)
+        last = self._corrupt_tile(grid_path, 22)  # listed first below
+        whole = (slice(0, SIDE), slice(0, SIDE), slice(0, SIDE))
+        for workers in (1, 4):
+            with ArchiveStore() as store:
+                store.add("g", grid_path)
+                with pytest.raises(ValueError, match="tile 4 checksum"):
+                    store.read_regions("g", [last, whole],
+                                       decode_workers=workers)
+                assert store.stats()["region_reads"] == 2

@@ -285,6 +285,8 @@ class TestCliServe:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_serve_rejects_missing_archive(self, tmp_path):
         proc = subprocess.run(
@@ -328,6 +330,8 @@ class TestCliServe:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,19 @@ def _store_read_regions(blob, out):
     return result
 
 
+def _store_read_resident(blob, out):
+    with ArchiveStore() as store:
+        store.add("k", blob)
+        store.read_region("k", ())
+        result, _ = store.read_resident("k", (), 1 << 30)
+    if out is not None:
+        out[...] = result
+        return out
+    return result
+
+
 ENTRY_POINTS = [_decompress, _read_region, _gathered_iter, _store_read_region,
-                _store_read_regions]
+                _store_read_regions, _store_read_resident]
 
 
 def test_fixture_archives_are_mixed_width(field):
