@@ -18,9 +18,9 @@ Design points:
   range files for the same token are re-adopted on startup (ordered by
   mtime), which is what makes the cache survive process restarts.
 * **Single-flight per range.**  Concurrent readers of one cold range block
-  on a single underlying fetch (same discipline as the decoded-tile
-  :class:`repro.store.cache.TileCache`), so a popular cold tile costs one
-  network round trip, not one per reader.
+  on a single underlying fetch (the decoded-tile cache's mechanism too:
+  :class:`repro.utils.concurrency.SingleFlight`), so a popular cold tile
+  costs one network round trip, not one per reader.
 
 The exact-range keying matches how archive readers behave: tile ranges are
 deterministic per archive (the header's ``(offset, length)`` table), so the
@@ -31,29 +31,18 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sys
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.sources.base import SPILL_COUNTERS, source_counts
-from repro.utils.concurrency import Counters, install_guards, make_lock
+from repro.utils.concurrency import (Counters, SingleFlight, install_guards,
+                                    make_lock)
 
 #: Default on-disk budget for spilled ranges (1 GiB).
 DEFAULT_SPILL_BYTES = 1 << 30
 
 _SUFFIX = ".range"
-
-
-class _Flight:
-    """Tracks one in-progress underlying fetch other readers can await."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Optional[bytes] = None
-        self.error: Optional[BaseException] = None
 
 
 class CachingByteSource:
@@ -84,8 +73,8 @@ class CachingByteSource:
         self._index: Optional[OrderedDict] = None  # guarded by: self._lock
         self._file_token: Optional[str] = None  # guarded by: self._lock
         self._nbytes = 0  # guarded by: self._lock
-        self._flights: Dict[Tuple[int, int], _Flight] = {}  # guarded by: self._lock
         self.counters = Counters(SPILL_COUNTERS)
+        self._flights = SingleFlight()
 
     # -------------------------------------------------------------- protocol
     @property
@@ -97,60 +86,22 @@ class CachingByteSource:
             return b""
         self._ensure_index()
         key = (int(offset), int(length))
-        while True:
-            flight: Optional[_Flight] = None
-            owner = False
-            path = None
-            with self._lock:
-                if key in self._index:
-                    self._index.move_to_end(key)
-                    self.counters.add("spill_hits")
-                    path = self._range_path(key)
-                else:
-                    flight = self._flights.get(key)
-                    if flight is None:
-                        flight = _Flight()
-                        self._flights[key] = flight
-                        self.counters.add("spill_misses")
-                        owner = True
-            if path is not None:
-                data = self._read_file(path)
-                if data is not None:
-                    return data
-                # The file vanished or shrank under us (external cleanup):
-                # forget it and go around as a cold read.
-                with self._lock:
-                    dropped = self._index.pop(key, None)
-                    if dropped is not None:
-                        self._nbytes -= dropped
-                continue
-            if not owner:
-                flight.event.wait()
-                if flight.error is not None:
-                    raise flight.error
-                if flight.value is not None:
-                    # Coalesced onto the owner's fetch: a hit.
-                    self.counters.add("spill_hits")
-                    return flight.value
-                continue  # loader bailed without a value; retry cold
-            break
-        fetched = False
-        try:
+        data = self._read_spilled(key)
+        if data is not None:
+            return data
+
+        def load() -> bytes:
+            data = self._read_spilled(key)  # a flight may have just ended
+            if data is not None:
+                return data
+            self.counters.add("spill_misses")
             data = self.source.read_at(offset, length)
-            fetched = True
-        finally:
-            if not fetched:
-                # Propagate the underlying fault to every coalesced waiter
-                # and clear the flight so the next reader retries cold.
-                flight.error = sys.exc_info()[1]
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.event.set()
-        flight.value = data
-        self._spill(key, data)
-        with self._lock:
-            self._flights.pop(key, None)
-        flight.event.set()
+            self._spill(key, data)
+            return data
+
+        data, owner = self._flights.run(key, load)
+        if not owner:
+            self.counters.add("spill_hits")  # coalesced onto the owner's fetch
         return data
 
     def read_all(self) -> bytes:
@@ -240,13 +191,29 @@ class CachingByteSource:
         return os.path.join(
             self._dir, f"{self._file_token}-{key[0]}-{key[1]}{_SUFFIX}")
 
-    @staticmethod
-    def _read_file(path: str) -> Optional[bytes]:
+    def _read_spilled(self, key: Tuple[int, int]) -> Optional[bytes]:
+        """The spilled bytes of ``key`` (a hit, now most recently used), else
+        ``None``.  A file that vanished or no longer holds the byte count the
+        index recorded (external cleanup, truncation) is forgotten."""
+        with self._lock:
+            nbytes = self._index.get(key)
+            if nbytes is None:
+                return None
+            self._index.move_to_end(key)
+            path = self._range_path(key)
         try:
             with open(path, "rb") as f:
-                return f.read()
+                data = f.read()
         except OSError:
-            return None
+            data = None
+        if data is not None and len(data) == nbytes:
+            self.counters.add("spill_hits")
+            return data
+        with self._lock:
+            dropped = self._index.pop(key, None)
+            if dropped is not None:
+                self._nbytes -= dropped
+        return None
 
     def _spill(self, key: Tuple[int, int], data: bytes) -> None:
         if len(data) > self.max_bytes:
@@ -286,4 +253,4 @@ class CachingByteSource:
 
 
 install_guards(CachingByteSource, "_lock",
-               ("_index", "_file_token", "_nbytes", "_flights"))
+               ("_index", "_file_token", "_nbytes"))

@@ -13,7 +13,8 @@ amortized and bounded:
 * **Single-flight loading** (per-tile locking) — :meth:`get_or_load` runs
   the loader for a missing key on exactly one thread; concurrent callers of
   the same key block on that one result instead of decoding the same tile
-  twice.  Different keys never wait on each other.
+  twice.  Different keys never wait on each other.  The disk spill cache
+  coalesces through the same :class:`repro.utils.concurrency.SingleFlight`.
 * **Failures are not cached** — a loader exception propagates to the owner
   *and* every waiter of that flight, then the key is clean again: the next
   request retries from scratch (one corrupt tile must not poison a server).
@@ -26,28 +27,17 @@ The cache is codec-agnostic: keys are opaque hashables (the store uses
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.concurrency import Counters, install_guards, make_lock
+from repro.utils.concurrency import (Counters, SingleFlight, install_guards,
+                                    make_lock)
 
 #: Default decoded-tile budget (256 MB) — ~1000 float64 tiles of 32^3, small
 #: against server RAM, large against any single region's working set.
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-
-
-class _Flight:
-    """One in-progress load: waiters block on ``event``, then read the outcome."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value: Optional[np.ndarray] = None
-        self.error: Optional[BaseException] = None
 
 
 class TileCache:
@@ -60,9 +50,9 @@ class TileCache:
         self.max_bytes = max_bytes
         self._lock = make_lock("TileCache._lock")
         self._entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()  # guarded by: self._lock
-        self._inflight: Dict[Hashable, _Flight] = {}  # guarded by: self._lock
         self._nbytes = 0  # guarded by: self._lock
         self.counters = Counters(("hits", "misses", "loads", "evictions"))
+        self._flights = SingleFlight()
 
     # ------------------------------------------------------------- inspection
     hits = property(lambda self: self.counters.snapshot()["hits"])
@@ -93,14 +83,10 @@ class TileCache:
     # -------------------------------------------------------------- mutation
     def get(self, key: Hashable) -> Optional[np.ndarray]:
         """Fetch a cached tile (marking it most recently used), else ``None``."""
-        with self._lock:
-            arr = self._entries.get(key)
-            if arr is None:
-                self.counters.add("misses")
-                return None
-            self._entries.move_to_end(key)
-            self.counters.add("hits")
-            return arr
+        arr = self._hit(key)
+        if arr is None:
+            self.counters.add("misses")
+        return arr
 
     def get_resident(self, keys: Sequence[Hashable]
                      ) -> Optional[List[np.ndarray]]:
@@ -137,42 +123,24 @@ class TileCache:
         under the cache lock while the loader runs, so loads of different
         tiles proceed in parallel.
         """
-        while True:
-            with self._lock:
-                arr = self._entries.get(key)
-                if arr is not None:
-                    self._entries.move_to_end(key)
-                    self.counters.add("hits")
-                    return arr
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
-                    self.counters.add("misses")
-                    break  # this thread owns the load
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            if flight.value is not None:
-                self.counters.add("hits")
-                return flight.value
-            # Neither value nor error: cannot happen with the publish order
-            # below, but looping (re-checking the cache) is safe regardless.
+        arr = self._hit(key)
+        if arr is not None:
+            return arr
 
-        try:
+        def load() -> np.ndarray:
+            arr = self._hit(key)  # a flight may have just ended
+            if arr is not None:
+                return arr
+            self.counters.add("misses")
             arr = self._freeze(loader())
-        except BaseException as exc:
-            flight.error = exc
             with self._lock:
-                del self._inflight[key]
-            flight.event.set()
-            raise
-        flight.value = arr
-        with self._lock:
-            del self._inflight[key]
-            self._insert(key, arr)
+                self._insert(key, arr)
             self.counters.add("loads")
-        flight.event.set()
+            return arr
+
+        arr, owner = self._flights.run(key, load)
+        if not owner:
+            self.counters.add("hits")  # coalesced onto the owner's load
         return arr
 
     def clear(self) -> None:
@@ -195,6 +163,16 @@ class TileCache:
         return len(doomed)
 
     # -------------------------------------------------------------- internals
+    def _hit(self, key: Hashable) -> Optional[np.ndarray]:
+        """The resident tile for ``key``, counted as a hit and now most
+        recently used, else ``None`` with nothing counted."""
+        with self._lock:
+            arr = self._entries.get(key)
+            if arr is not None:
+                self._entries.move_to_end(key)
+                self.counters.add("hits")
+            return arr
+
     @staticmethod
     def _freeze(arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
@@ -217,4 +195,4 @@ class TileCache:
             self.counters.add("evictions")
 
 
-install_guards(TileCache, "_lock", ("_entries", "_inflight", "_nbytes"))
+install_guards(TileCache, "_lock", ("_entries", "_nbytes"))

@@ -33,7 +33,8 @@ import os
 import sys
 import threading
 import traceback
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Hashable, Iterable, Optional, Tuple,
+                    TypeVar, Union)
 
 __all__ = [
     "CheckedLock",
@@ -42,6 +43,7 @@ __all__ = [
     "LockOrderError",
     "LockUsageError",
     "SanitizerError",
+    "SingleFlight",
     "guard_specs",
     "install_guards",
     "make_lock",
@@ -318,3 +320,56 @@ class Counters:
 
 
 install_guards(Counters, "_lock", ("_values",))
+
+
+# --------------------------------------------------------------------------
+# Single-flight loading
+# --------------------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+class _Flight(threading.Event):
+    """One in-progress load: waiters block on it, then read its outcome."""
+    value: Any = None
+    error: Optional[BaseException] = None
+
+
+class SingleFlight:
+    """Coalesce concurrent loads of one key onto a single call.
+
+    The first caller of a key (the *owner*) runs ``load()``; callers that
+    arrive while it runs block, then share its value or re-raise its
+    exception.  Nothing outlives the load, so a failure is retried by the
+    next caller, and loads of different keys never wait on each other.
+    Caching stays with the caller: ``load`` re-checks the cache (a flight may
+    have ended just after the caller missed) and publishes its result.
+    """
+
+    def __init__(self) -> None:
+        self._lock = make_lock("SingleFlight._lock")
+        self._flights: Dict[Hashable, _Flight] = {}  # guarded by: self._lock
+
+    def run(self, key: Hashable, load: Callable[[], T]) -> Tuple[T, bool]:
+        """``(value, owner)``: ``owner`` is True iff this call ran ``load``."""
+        mine = _Flight()
+        with self._lock:
+            flight = self._flights.setdefault(key, mine)
+        if flight is not mine:
+            flight.wait()
+            if flight.error is not None:
+                raise flight.error
+            return flight.value, False
+        try:
+            flight.value = load()
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.set()
+        return flight.value, True
+
+
+install_guards(SingleFlight, "_lock", ("_flights",))

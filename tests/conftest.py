@@ -7,6 +7,10 @@ behaviour and invariants, not model quality.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -63,3 +67,33 @@ def trained_aesz_3d(tiny_ae_config_3d):
     comp.train(train, TrainingConfig(epochs=2, batch_size=16, learning_rate=2e-3, seed=0),
                max_blocks=96)
     return comp
+
+
+@pytest.fixture()
+def submit_parked():
+    """``submit_parked(pool, fn, *args)``: submit ``fn(*args)`` and return its
+    future once that call is parked on another caller's load inside
+    ``SingleFlight.run``.  A test can then release the owner knowing the
+    second caller coalesces instead of owning a load of its own."""
+    def submit(pool, fn, *args):
+        ident = []
+
+        def call():
+            ident.append(threading.get_ident())
+            return fn(*args)
+
+        future = pool.submit(call)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            frame = sys._current_frames().get(ident[0]) if ident else None
+            while frame is not None:
+                caller = frame.f_back
+                if (frame.f_code.co_name == "wait" and caller is not None
+                        and caller.f_code.co_name == "run"
+                        and caller.f_code.co_filename.endswith(
+                            "concurrency.py")):
+                    return future
+                frame = caller
+            time.sleep(0.001)
+        raise AssertionError("second caller never parked on the flight")
+    return submit

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.utils.concurrency import (
     CheckedLock,
     LockOrderError,
     LockUsageError,
+    SingleFlight,
     guard_specs,
     make_lock,
     sanitize_enabled,
@@ -105,6 +107,70 @@ class TestMakeLock:
         assert isinstance(lock, CheckedLock) and lock.name == "x"
 
 
+class TestSingleFlight:
+    """The one coalescing mechanism both caches load through."""
+
+    @staticmethod
+    def _blocked_owner(pool, flights, key, outcome):
+        """Start an owner for ``key`` parked inside its load; returns
+        (future, release): ``release.set()`` lets it return ``outcome()``."""
+        entered, release = threading.Event(), threading.Event()
+
+        def load():
+            entered.set()
+            assert release.wait(5)
+            return outcome()
+
+        future = pool.submit(flights.run, key, load)
+        assert entered.wait(5)
+        return future, release
+
+    def test_owner_and_waiter_share_the_identical_value(self, submit_parked):
+        flights = SingleFlight()
+        value = object()
+        calls = []
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            owner, release = self._blocked_owner(
+                pool, flights, "k", lambda: calls.append(1) or value)
+            waiter = submit_parked(pool, flights.run, "k",
+                                   lambda: calls.append(2))
+            release.set()
+            got_owner, got_waiter = owner.result(5), waiter.result(5)
+        assert got_owner[0] is value and got_owner[1] is True
+        assert got_waiter[0] is value and got_waiter[1] is False
+        assert calls == [1]
+
+    def test_owner_exception_reaches_the_waiter_then_key_reloads(
+            self, submit_parked):
+        flights = SingleFlight()
+
+        def fail():
+            raise ValueError("corrupt tile: synthetic")
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            owner, release = self._blocked_owner(pool, flights, "k", fail)
+            waiter = submit_parked(pool, flights.run, "k", lambda: "not run")
+            release.set()
+            for future in (owner, waiter):
+                with pytest.raises(ValueError, match="synthetic"):
+                    future.result(5)
+        # Nothing outlives the failed load: the next caller owns a new one.
+        assert flights.run("k", lambda: "fresh") == ("fresh", True)
+
+    def test_a_blocked_key_does_not_block_another_key(self):
+        flights = SingleFlight()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            owner, release = self._blocked_owner(pool, flights, "a",
+                                                 lambda: "a")
+            try:
+                other = pool.submit(flights.run, "b", lambda: "b")
+                assert other.result(5) == ("b", True)  # "a" is still loading
+                assert not owner.done()
+            finally:
+                release.set()
+            assert owner.result(5) == ("a", True)
+
+
 class TestSpecsMatchStaticAnnotations:
     """guard_specs() (dynamic) must agree with `# guarded by:` (static)."""
 
@@ -163,7 +229,7 @@ class TestSpecsMatchStaticAnnotations:
             static.update(self._static_guards(rel))
         assert registered == static
         assert set(registered) == {"HttpByteSource", "CachingByteSource",
-                                   "Counters"}
+                                   "Counters", "SingleFlight"}
 
 
 def _run_sanitized(body: str) -> subprocess.CompletedProcess:

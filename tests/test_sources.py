@@ -492,6 +492,47 @@ class TestSpillCache:
         assert src.read_at(10, 50) == first
         assert src.stats()["spill_misses"] == 2
 
+    def test_truncated_file_refetches(self, tmp_path, grid_blob):
+        spill = tmp_path / "spill"
+        src = CachingByteSource(BytesByteSource(grid_blob), spill)
+        first = src.read_at(10, 50)
+        for spilled in spill.iterdir():
+            with open(spilled, "r+b") as f:
+                f.truncate(20)  # damaged under our feet: a short file
+        assert src.read_at(10, 50) == first
+        assert src.stats()["spill_misses"] == 2
+
+    def test_failed_fetch_reaches_every_coalesced_reader(
+            self, tmp_path, grid_blob, submit_parked):
+        entered, release = threading.Event(), threading.Event()
+
+        class Failing(BytesByteSource):
+            calls = 0
+
+            def read_at(self, offset, length):
+                Failing.calls += 1
+                if Failing.calls > 1:  # the origin has recovered
+                    return super().read_at(offset, length)
+                entered.set()
+                assert release.wait(5)
+                raise HttpSourceError("origin down: synthetic")
+
+        spill = tmp_path / "spill"
+        src = CachingByteSource(Failing(grid_blob), spill)
+        with ThreadPoolExecutor(2) as pool:
+            owner = pool.submit(src.read_at, 100, 64)
+            assert entered.wait(5)
+            waiter = submit_parked(pool, src.read_at, 100, 64)
+            release.set()
+            for future in (owner, waiter):
+                with pytest.raises(HttpSourceError, match="synthetic"):
+                    future.result(5)
+        assert Failing.calls == 1
+        assert list(spill.iterdir()) == []  # nothing spilled, nothing kept
+        assert src.read_at(100, 64) == grid_blob[100:164]  # cold, then kept
+        assert Failing.calls == 2 and src.stats()["spill_misses"] == 2
+        assert len(list(spill.iterdir())) == 1
+
     def test_requires_token(self, tmp_path):
         class Tokenless:
             size = 4
