@@ -16,7 +16,9 @@ Design points:
 * **Byte-budget LRU.**  ``max_bytes`` bounds the on-disk footprint; least
   recently used ranges are unlinked when the budget overflows.  Existing
   range files for the same token are re-adopted on startup (ordered by
-  mtime), which is what makes the cache survive process restarts.
+  mtime), which is what makes the cache survive process restarts; one whose
+  size is not the length in its name (truncated while no process held it)
+  is unlinked instead.
 * **Single-flight per range.**  Concurrent readers of one cold range block
   on a single underlying fetch (the decoded-tile cache's mechanism too:
   :class:`repro.utils.concurrency.SingleFlight`), so a popular cold tile
@@ -160,6 +162,9 @@ class CachingByteSource:
                         continue
                     try:
                         stat = entry.stat()
+                        if stat.st_size != key[1] or key[1] > self.max_bytes:
+                            os.unlink(entry.path)  # damaged, or never fits
+                            continue
                     except OSError:
                         continue
                     adopted.append((stat.st_mtime_ns, key, stat.st_size))

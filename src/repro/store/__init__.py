@@ -20,10 +20,10 @@ package is the serving layer:
   (``GET /v1/<key>/region?r=10:20,0:64,5:9`` → raw bytes plus a
   JSON-described header; batched ``POST /v1/<key>/regions``; with an ingest
   manager also ``POST`` / ``DELETE /v1/<key>`` and ``/metrics``), wired to
-  the CLI as ``python -m repro serve``.  Two front ends share one route
-  layer: the default ``selectors`` event loop
+  the CLI as ``python -m repro serve``.  Two front ends share one HTTP/1.1
+  codec and route layer: the default ``selectors`` event loop
   (:class:`~repro.store.aserver.AsyncStoreHTTPServer`, keep-alive
-  multiplexing + bounded decode pool) and the classic threaded fallback;
+  multiplexing + bounded decode pool) and the threaded fallback;
   :func:`push_field` is the write client (``python -m repro push``).
 """
 
@@ -50,7 +50,7 @@ _CLIENT_NAMES = ("PushError", "delete_key", "push_field")
 
 
 def __getattr__(name):
-    # The HTTP shell drags in http.server/socketserver (and the client
+    # The HTTP shell drags in socketserver (and the client
     # http.client); load them only when a server/client symbol is actually
     # requested, so plain `import repro` (library use, CLI compress, every
     # test worker) stays lean.

@@ -1,29 +1,24 @@
 """Non-blocking ``selectors`` front end for the store HTTP service.
 
 One event-loop thread owns every socket it has not lent to a worker: it
-accepts connections, parses request heads from per-connection buffers, and
-drains response bytes — all non-blocking.  It answers one kind of request itself: a body-less region GET
-of at most ``_INLINE_REGION_BYTES`` whose tiles are all resident in the tile
-cache — a crop of arrays in memory, cheaper than the round trip to a worker
-and back.  Everything else (cold or partly cached regions, bodies, ingest,
-other routes) runs on a bounded
-:class:`~concurrent.futures.ThreadPoolExecutor`, calling the same
-transport-agnostic :class:`repro.store.server.StoreApp` the threaded server
-wraps, so routes, status codes and auth are identical across front ends by
-construction.
+accepts connections, cuts request heads off per-connection buffers, and
+drains response bytes — all non-blocking.  It answers one kind of request
+itself: a body-less region GET of at most ``_INLINE_REGION_BYTES`` whose
+tiles are all resident in the tile cache — a crop of arrays in memory,
+cheaper than the round trip to a worker and back.  Everything else (cold or
+partly cached regions, bodies, ingest, other routes) runs on a bounded
+:class:`~concurrent.futures.ThreadPoolExecutor`.  The HTTP — head parse,
+body framing, response head, crash answer, close rule — is the codec and
+:class:`repro.store.server.StoreApp` the threaded server runs too.
 
 Why this shape: the threaded fallback burns one OS thread per connection,
 which collapses under hundreds of mostly-idle keep-alive clients.  Here idle
 connections cost one selector registration each; only connections with an
-in-flight request occupy a worker.  The loop enforces what threads cannot:
+in-flight request occupy a worker.  What the loop does itself:
 
-* **keep-alive by default** (HTTP/1.1 semantics, ``Connection: close``
-  honored, HTTP/1.0 gets close-by-default);
-* **read timeouts** — an idle or stalled connection is dropped by the loop's
-  timeout scan; a request with a body lends its socket to the worker that
-  handles it, whose :class:`~repro.store.server.BodyReader` bounds every
-  read, so a stalled or cut-off upload is a 400 (as on the threaded front
-  end), never a pinned worker;
+* **read timeouts** — the timeout scan drops an idle connection, and one
+  whose head is not whole within the timeout of its first byte; a bodied
+  request's worker reads through a ``BodyReader`` that bounds every read;
 * **a max-connections guard** — accepts beyond the cap get an immediate
   best-effort ``503`` and never reach the selector loop's bookkeeping;
 * **backpressure** — the loop never reads a lent socket, so TCP flow control
@@ -52,18 +47,17 @@ its first body read.
 
 from __future__ import annotations
 
-import io
 import queue
 import selectors
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http import HTTPStatus
-from typing import Any, Dict, Optional, Set, Tuple, cast
+from typing import Optional, Set, Tuple, cast
 
 from repro.store.ingest import IngestManager
-from repro.store.server import BodyReader, Request, Response, StoreApp
+from repro.store.server import (BodyReader, HeadError, Request, Response,
+                                StoreApp, parse_head, render_head)
 from repro.store.store import ArchiveStore
 
 __all__ = ["AsyncStoreHTTPServer"]
@@ -73,8 +67,6 @@ _ACCEPT = object()
 _WAKE = object()
 
 _RECV_BYTES = 1 << 16
-#: A request head larger than this is answered 431 — ours are tiny.
-_MAX_HEADER_BYTES = 1 << 16
 #: Cap on buffered pipelined bytes while a request is in flight.
 _MAX_BUFFERED_BYTES = 1 << 20
 #: How long a closing connection drains inbound bytes before the real
@@ -82,7 +74,6 @@ _MAX_BUFFERED_BYTES = 1 << 20
 _LINGER_SECONDS = 2.0
 #: Largest resident region the loop answers itself; bigger ones are pooled.
 _INLINE_REGION_BYTES = 1 << 20
-_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 class _Conn:
@@ -275,9 +266,7 @@ class AsyncStoreHTTPServer:
             except OSError:  # pragma: no cover
                 pass
             return
-        conn = self._adopt(sock)
-        conn.close_after = True
-        self._queue_response(conn, StoreApp._json(
+        self._queue_response(self._adopt(sock), StoreApp._json(
             503, {"error": f"server is at its {self.max_connections}-"
                            f"connection limit; retry shortly"}, close=True))
 
@@ -301,7 +290,8 @@ class AsyncStoreHTTPServer:
             return
         if conn.state == "draining":
             return  # lingering close: discard until EOF or deadline
-        conn.last_active = time.monotonic()
+        if not conn.inbuf:  # a head is timed from its first byte, not its last
+            conn.last_active = time.monotonic()
         conn.inbuf += data
         if conn.state == "headers":
             self._try_parse(conn)
@@ -312,67 +302,26 @@ class AsyncStoreHTTPServer:
         the rest.  A loop, not a recursion (flushing never parses), so any
         number of pipelined answers costs constant stack."""
         while conn.sock is not None and conn.state == "headers":
-            buf = conn.inbuf
-            end = buf.find(b"\r\n\r\n")
-            if end < 0:
-                if len(buf) > _MAX_HEADER_BYTES:
-                    self._queue_response(conn, StoreApp._json(
-                        431, {"error": "request header section too large"},
-                        close=True))
-                return
-            head = bytes(buf[:end])
-            del buf[:end + 4]
-            lines = head.decode("latin-1").split("\r\n")
-            first = lines[0].split(" ")
-            if len(first) != 3:
-                self._queue_response(conn, StoreApp._json(
-                    400, {"error": f"malformed request line {lines[0]!r}"},
-                    close=True))
-                return
-            method, target, version = first
-            if not version.startswith("HTTP/1."):
-                self._queue_response(conn, StoreApp._json(
-                    505, {"error": f"unsupported protocol {version!r}"},
-                    close=True))
-                return
-            headers: Dict[str, str] = {}
-            for raw in lines[1:]:
-                if not raw:
-                    continue
-                name, sep, value = raw.partition(":")
-                if not sep:
-                    self._queue_response(conn, StoreApp._json(
-                        400, {"error": f"malformed header line {raw!r}"},
-                        close=True))
-                    return
-                headers[name.strip().lower()] = value.strip()
-            connection = headers.get("connection", "").lower()
-            conn.close_after = ("close" in connection
-                                or (version == "HTTP/1.0"
-                                    and "keep-alive" not in connection))
-            if method not in ("GET", "POST", "DELETE"):
-                self._queue_response(conn, StoreApp._json(
-                    501, {"error": f"unsupported method {method!r}"},
-                    close=True))
-                return
-            te = headers.get("transfer-encoding", "")
             try:
-                declared = int(headers.get("content-length", "0"))
-            except ValueError:
-                declared = 0  # the app answers a bad Content-Length with 400
-            rfile: Any = io.BytesIO(b"")
-            if "chunked" in te.lower() or declared > 0:
+                head = parse_head(conn.inbuf)
+            except HeadError as exc:
+                self._queue_response(conn, exc.response())
+                return
+            if head is None:
+                return
+            method, target, headers, keep_alive = head
+            conn.close_after = not keep_alive
+            request = Request(method, target, headers, None)
+            if request.body_unread():
                 # The worker reads its own body: lend it the socket plus the
                 # body bytes glued to the head, until the completion is back.
-                expect = headers.get("expect", "").lower() == "100-continue"
-                rfile = conn.reader = BodyReader(
+                request.rfile = conn.reader = BodyReader(
                     cast(socket.socket, conn.sock), self.read_timeout,
-                    prefix=bytes(buf), interim=_CONTINUE if expect else b"")
-                del buf[:]
+                    headers, bytes(conn.inbuf))
+                del conn.inbuf[:]
                 self._unregister(conn)
                 conn.sock = None
-            request = Request(method, target, headers, rfile)
-            if conn.reader is None and method == "GET":
+            elif method == "GET":
                 try:
                     response = self.app.handle_resident(
                         request, _INLINE_REGION_BYTES)
@@ -394,12 +343,7 @@ class AsyncStoreHTTPServer:
     # ---------------------------------------------------------- worker thread
     def _run_handler(self, conn: _Conn, request: Request) -> None:
         """Worker-pool entry: run the app, queue the completion, wake."""
-        try:
-            response = self.app.handle(request)
-        except Exception as exc:  # noqa: BLE001 - answered as a 500
-            response = StoreApp._json(
-                500, {"error": f"internal error: {exc!r}"}, close=True)
-        self._completions.put((conn, response))
+        self._completions.put((conn, self.app.handle(request)))
         # Unconditional wake.  A "skip if a wake byte is already pending"
         # flag races: the loop can drain a fresh byte together with a stale
         # one and leave the flag claiming a byte is pending when none is,
@@ -438,26 +382,10 @@ class AsyncStoreHTTPServer:
         if close:
             del conn.inbuf[:]  # no further requests will be parsed
         conn.state = "writing"
-        conn.outbuf += self._render_head(response, close)
-        if response.status != 304:  # appended apart: one copy of the body
-            conn.outbuf += response.body
+        conn.outbuf += render_head(response, close)
+        conn.outbuf += response.body  # appended apart: one copy of the body
         conn.last_active = time.monotonic()
         self._flush(conn)
-
-    @staticmethod
-    def _render_head(response: Response, close: bool) -> bytes:
-        try:
-            phrase = HTTPStatus(response.status).phrase
-        except ValueError:
-            phrase = "Unknown"
-        lines = [f"HTTP/1.1 {response.status} {phrase}",
-                 "Server: repro-aserve/1"]
-        for name, value in response.headers.items():
-            lines.append(f"{name}: {value}")
-        lines.append(f"Content-Length: {len(response.body)}")
-        if close:
-            lines.append("Connection: close")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
     # ------------------------------------------------------------ loop: write
     def _flush(self, conn: _Conn) -> None:

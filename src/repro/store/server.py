@@ -1,18 +1,20 @@
 """Stdlib-only HTTP service over an :class:`ArchiveStore` — reads and ingest.
 
 The routing/validation/response logic lives in one transport-agnostic
-:class:`StoreApp` (plain :class:`Request` in, :class:`Response` out), shared
-by two front ends:
+:class:`StoreApp` (plain :class:`Request` in, :class:`Response` out) over
+one HTTP/1.1 codec (:func:`parse_head`, :class:`Request`'s body framing,
+:class:`BodyReader`, :func:`render_head`), run by two front ends that
+differ only in how they wait for bytes:
 
-* the threaded server in this module (``ThreadingHTTPServer``, one thread
-  per connection) — the simple, battle-tested fallback;
+* the threaded server in this module (``socketserver``, one thread per
+  connection) — the simple fallback;
 * the ``selectors``-based non-blocking front end in
   :mod:`repro.store.aserver` — persistent keep-alive connections multiplexed
   on one event loop, decode work on a bounded worker pool; the shape
   ``repro serve`` uses by default for many-clients-one-process traffic.
 
-Because both speak through the same :class:`StoreApp`, every route, status
-code and auth behavior is identical across them by construction.
+So every head check, route, status, header and close decision is
+identical across them by construction.
 
 Read routes (GET):
 
@@ -68,30 +70,32 @@ When the manifest carries bearer tokens, mutating routes require
 ``Authorization: Bearer <token>`` (per-key token, falling back to the
 ``"*"`` default) and fail closed with 401; read routes stay open.
 
-Errors are JSON bodies ``{"error": ...}``: 400 for malformed requests or
-upload bodies (one that stalls past the read timeout or ends short
-included), 404 for unknown keys/routes, 405 for writes to a read-only
-server, 500 for decode/verify failures (e.g. a corrupt tile).  A 500 is
+Errors are JSON bodies ``{"error": ...}``: 400 for malformed requests,
+framing or upload bodies (one that stalls past the read timeout or ends
+short included), 404 for unknown keys/routes, 405 for writes to a read-only
+server, 500 for decode/verify failures or a route that raises.  A 500 is
 scoped to the affected request — failed decodes are never cached, so other
 regions (and retries) keep serving.  Response metadata for a region is
 derived from the entry the bytes were *actually* decoded from (one atomic
 store lookup), so headers can never contradict the body across a concurrent
-replace.
+replace.  A declared body left unread closes the connection.
 """
 
 from __future__ import annotations
 
+import functools
 import hmac
-import io
 import json
 import logging
 import math
 import re
 import socket
+import socketserver
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple,
-                    Union, cast)
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple, Union, cast)
 from urllib.parse import parse_qs, unquote, urlparse
 
 import numpy as np
@@ -158,7 +162,7 @@ class RouteMetrics:
                 route, {"requests": 0, "errors": 0, "seconds": 0.0,
                         "buckets": [0] * len(LATENCY_BUCKETS_MS)})
             row["requests"] += 1
-            if status >= 400 or status == 0:
+            if status >= 400:
                 row["errors"] += 1
             row["seconds"] += seconds
             for i, bound in enumerate(LATENCY_BUCKETS_MS):
@@ -182,7 +186,7 @@ class RouteMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Transport-agnostic request/response + the app
+# The HTTP/1.1 codec both front ends run, and the transport-agnostic app
 # ---------------------------------------------------------------------------
 
 class Request:
@@ -190,12 +194,11 @@ class Request:
 
     ``headers`` maps lower-cased names to values; ``rfile`` is a blocking
     file-like positioned at the first body byte — a :class:`BodyReader` from
-    either front end.  Handlers that consume a body read exactly the framed
-    bytes on success; error paths answer with ``close=True`` so unread bytes
-    can never desynchronize keep-alive framing.
+    either front end.  Routes read the body through :meth:`body` only; one
+    left unread closes the connection, so it cannot desynchronize framing.
     """
 
-    __slots__ = ("method", "target", "headers", "rfile")
+    __slots__ = ("method", "target", "headers", "rfile", "_body_read")
 
     def __init__(self, method: str, target: str, headers: Dict[str, str],
                  rfile) -> None:
@@ -203,10 +206,40 @@ class Request:
         self.target = target
         self.headers = headers
         self.rfile = rfile
+        self._body_read = False
 
     def header(self, name: str, default: Optional[str] = None
                ) -> Optional[str]:
         return self.headers.get(name.lower(), default)
+
+    def body_length(self) -> Optional[int]:
+        """The declared body: a byte count, :data:`CHUNKED` or ``None``;
+        ``ValueError`` for what RFC 7230 §3.3.3 cannot frame safely."""
+        coding = self.headers.get("transfer-encoding")
+        length = self.headers.get("content-length")
+        if coding is None:
+            if length is None:
+                return None
+            if length.isascii() and length.isdigit():
+                return int(length)
+        elif length is None and coding.lower() == "chunked":
+            return CHUNKED
+        raise ValueError(f"corrupt request framing: Content-Length "
+                         f"{length!r}, Transfer-Encoding {coding!r}")
+
+    def body(self) -> Iterator[bytes]:
+        """The framed body in pieces; running it to its end marks it read."""
+        length = self.body_length()
+        yield from (read_chunked_stream(self.rfile) if length == CHUNKED
+                    else read_sized_stream(self.rfile, length or 0))
+        self._body_read = True
+
+    def body_unread(self) -> bool:
+        """Whether bytes of a declared body may still be on the wire."""
+        try:
+            return not self._body_read and self.body_length() not in (None, 0)
+        except ValueError:
+            return True
 
 
 class Response:
@@ -223,29 +256,94 @@ class Response:
         self.close = close
 
 
+#: :meth:`Request.body_length` of a ``Transfer-Encoding: chunked`` body.
+CHUNKED = -1
+#: A request head larger than this is answered 431 — ours are tiny.
+_MAX_HEADER_BYTES = 1 << 16
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+#: ``(method, target, headers, keep_alive)``: what :func:`parse_head` cuts.
+Head = Tuple[str, str, Dict[str, str], bool]
+
+
+class HeadError(ValueError):
+    """A request head refused before any route runs; ``status`` answers it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+    def response(self) -> Response:
+        return StoreApp._json(self.status, {"error": str(self)}, close=True)
+
+
+def parse_head(buf: bytearray) -> Optional[Head]:
+    """Cut the first request head off ``buf`` (``None`` until it ends).  A
+    repeated header keeps every value, comma-joined.  :class:`HeadError`:
+    431 past ``_MAX_HEADER_BYTES`` (ended or not), 400 for a malformed line,
+    505 for other than HTTP/1.x, 501 for a method no route has."""
+    end = buf.find(b"\r\n\r\n")
+    if end < 0 and len(buf) <= _MAX_HEADER_BYTES:
+        return None
+    if not 0 <= end <= _MAX_HEADER_BYTES:
+        raise HeadError(431, "request header section too large")
+    lines = buf[:end].decode("latin-1").split("\r\n")
+    del buf[:end + 4]
+    first = lines[0].split(" ")
+    if len(first) != 3:
+        raise HeadError(400, f"malformed request line {lines[0]!r}")
+    method, target, version = first
+    if not version.startswith("HTTP/1."):
+        raise HeadError(505, f"unsupported protocol {version!r}")
+    headers: Dict[str, str] = {}
+    for raw in lines[1:]:
+        name, sep, value = raw.partition(":")
+        if not sep or not name or name != name.strip():
+            raise HeadError(400, f"malformed header line {raw!r}")
+        name, value = name.lower(), value.strip()
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    if method not in ("GET", "POST", "DELETE"):
+        raise HeadError(501, f"unsupported method {method!r}")
+    connection = headers.get("connection", "").lower()
+    keep_alive = "close" not in connection and (
+        version != "HTTP/1.0" or "keep-alive" in connection)
+    return method, target, headers, keep_alive
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    return formatdate(second, usegmt=True)  # once a second, not per response
+
+
+def render_head(response: Response, close: bool) -> bytes:
+    """The status line and headers of ``response``, both front ends'."""
+    head = [f"HTTP/1.1 {response.status} "
+            f"{_PHRASES.get(response.status, 'Unknown')}",
+            "Server: repro-serve/3", f"Date: {_http_date(int(time.time()))}",
+            *(f"{name}: {value}" for name, value in response.headers.items()),
+            f"Content-Length: {len(response.body)}"]
+    if close:
+        head.append("Connection: close")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+
+
 class BodyReader:
     """The blocking ``rfile`` a route reads its request body from.
 
-    The threaded handler wraps its connection's buffered file (``rfile``); a
-    selectors worker reads the socket the loop lent it, after the body bytes
-    glued to the request head (``prefix``, which keeps what the body left).
-    ``read(n)`` returns exactly ``n`` bytes unless EOF comes first,
-    ``readline(limit)`` honours its limit, and neither reads past what is
-    asked, so pipelined requests stay where the next parse looks.  Each call
-    finishes within ``timeout`` seconds or raises ``ValueError("corrupt
-    upload body: timed out ...")`` — a connection-closing 400, like a body
-    cut short by EOF — and leaves the socket's own timeout as it found it.
-    ``interim`` (a ``100 Continue``) is sent before the first read.
+    It reads the bytes glued to the head (``prefix``, which keeps what the
+    body leaves), then the socket; ``read(n)`` is exact unless EOF comes
+    first, and neither it nor ``readline(limit)`` reads past what is asked.
+    Each call ends within ``timeout`` seconds or raises ``ValueError(
+    "corrupt upload body: timed out ...")``, restoring the socket's timeout.
+    ``Expect: 100-continue`` sends ``100 Continue`` before the first read.
     """
 
-    def __init__(self, sock: socket.socket, timeout: Optional[float], *,
-                 rfile: Optional[io.BufferedReader] = None,
-                 prefix: bytes = b"", interim: bytes = b"") -> None:
+    def __init__(self, sock: socket.socket, timeout: Optional[float],
+                 headers: Dict[str, str], prefix: bytes = b"") -> None:
         self.sock = sock
         self.prefix = bytearray(prefix)
         self._timeout = timeout
-        self._rfile = rfile
-        self._interim = interim
+        expect = headers.get("expect", "").lower() == "100-continue"
+        self._interim = b"HTTP/1.1 100 Continue\r\n\r\n" if expect else b""
         self._sock_timeout = sock.gettimeout()
 
     def read(self, n: int) -> bytes:
@@ -299,8 +397,6 @@ class BodyReader:
                 del self.prefix[:n]
             return data
         self._arm(deadline)
-        if self._rfile is not None:
-            return self._rfile.peek(n)[:n] if peek else self._rfile.read1(n)
         return self.sock.recv(n, socket.MSG_PEEK if peek else 0)
 
 
@@ -394,24 +490,32 @@ class StoreApp:
                                          resident_bytes)
             if resident_bytes is None or route == "region":
                 response = thunk()
-            return response
-        finally:
-            # An inline attempt that declined or raised records nothing:
-            # the caller falls back to handle(), which records it once.
-            if response is not None or resident_bytes is None:
-                status, nbytes = (0, 0) if response is None \
-                    else (response.status, len(response.body))
-                seconds = time.perf_counter() - start
-                self.metrics.record(route, status, seconds)
-                if ACCESS_LOG.isEnabledFor(logging.INFO):
-                    ACCESS_LOG.info("%s %s %d %d %.3f", request.method,
-                                    request.target, status, nbytes,
-                                    seconds * 1e3)
+        except Exception as exc:  # noqa: BLE001 - the one crash answer
+            if resident_bytes is not None:
+                raise
+            ACCESS_LOG.exception("%s %s raised", request.method, request.target)
+            response = self._json(500, {"error": f"internal error: {exc!r}"},
+                                  close=True)
+        if response is None:  # an inline attempt declined: handle() records
+            return None
+        seconds = time.perf_counter() - start
+        self.metrics.record(route, response.status, seconds)
+        if ACCESS_LOG.isEnabledFor(logging.INFO):
+            ACCESS_LOG.info("%s %s %d %d %.3f", request.method,
+                            request.target, response.status,
+                            len(response.body), seconds * 1e3)
+        if request.body_unread():
+            response.close = True  # what is left of the body is not a request
+        return response
 
     def _resolve(self, request: Request, parts: List[str], parsed,
                  resident_bytes: Optional[int]
                  ) -> Tuple[str, Callable[[], Optional[Response]]]:
         """Map (method, path) to a (metrics route name, handler thunk)."""
+        try:
+            request.body_length()
+        except ValueError as exc:  # no route can read a body it cannot frame
+            return "other", lambda error=str(exc): self._json(400, {"error": error})
         method = request.method
         if method == "GET":
             if parts == ["healthz"]:
@@ -561,27 +665,20 @@ class StoreApp:
 
     def _regions(self, request: Request, key: str) -> Response:
         """Batched region reads: JSON spec list in, concatenated bytes out."""
-        length_header = request.header("content-length")
-        if length_header is None:
+        length = request.body_length()
+        if length is None or length == CHUNKED:
             return self._json(411, {"error": "batched regions need "
                                              "Content-Length (a JSON body of "
-                                             "region specs)"}, close=True)
-        try:
-            length = int(length_header)
-        except ValueError:
-            return self._json(400, {"error": f"corrupt batch body: invalid "
-                                             f"Content-Length "
-                                             f"{length_header!r}"}, close=True)
-        if length < 0 or length > self.REGIONS_BODY_LIMIT:
+                                             "region specs)"})
+        if length > self.REGIONS_BODY_LIMIT:
             return self._json(413, {"error": f"batch body of {length} bytes "
                                              f"exceeds the "
                                              f"{self.REGIONS_BODY_LIMIT}-byte "
-                                             f"limit"}, close=True)
+                                             f"limit"})
         try:
-            raw = b"".join(read_sized_stream(request.rfile, length))
+            raw = b"".join(request.body())
         except ValueError as exc:
-            return self._json(400, {"error": str(exc)}, close=True)
-        # From here the framed body is fully consumed: keep-alive is safe.
+            return self._json(400, {"error": str(exc)})
         try:
             doc = json.loads(raw) if raw else None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -642,31 +739,18 @@ class StoreApp:
         try:
             params = self._ingest_params(request)
         except ValueError as exc:
-            return self._json(400, {"error": str(exc)}, close=True)
+            return self._json(400, {"error": str(exc)})
         quota = manager.quota_bytes
-        length = request.header("content-length")
-        te = request.header("transfer-encoding", "") or ""
-        if "chunked" in te.lower():
-            chunks = read_chunked_stream(request.rfile)
-        elif length is not None:
-            try:
-                body_bytes = int(length)
-            except ValueError:
-                return self._json(400, {"error": f"corrupt upload body: "
-                                                 f"invalid Content-Length "
-                                                 f"{length!r}"}, close=True)
-            if quota is not None and body_bytes > quota:
-                return self._json(413, {"error": f"upload of {body_bytes} "
-                                                 f"bytes exceeds the per-key "
-                                                 f"quota of {quota} bytes"},
-                                  close=True)
-            chunks = read_sized_stream(request.rfile, body_bytes)
-        else:
+        length = request.body_length()
+        if length is None:
             return self._json(411, {"error": "upload needs Content-Length or "
-                                             "Transfer-Encoding: chunked"},
-                              close=True)
+                                             "Transfer-Encoding: chunked"})
+        if quota is not None and length > quota:
+            return self._json(413, {"error": f"upload of {length} bytes "
+                                             f"exceeds the per-key quota of "
+                                             f"{quota} bytes"})
         created = manager.manifest.get(key) is None
-        blocks = read_row_blocks(limit_stream(chunks, quota, key),
+        blocks = read_row_blocks(limit_stream(request.body(), quota, key),
                                  params["shape"], params["dtype"])
         try:
             entry = manager.ingest(key, blocks, codec=params["codec"],
@@ -674,15 +758,15 @@ class StoreApp:
                                    chunk_size=params["chunk_size"],
                                    data_range=params["data_range"])
         except IngestConflictError as exc:
-            return self._json(409, {"error": str(exc)}, close=True)
+            return self._json(409, {"error": str(exc)})
         except IngestQuotaError as exc:
-            return self._json(413, {"error": str(exc)}, close=True)
+            return self._json(413, {"error": str(exc)})
         except ValueError as exc:
             # Caller-side faults: malformed body framing/row count, unknown
             # codec, bad bound, rel bound without a data range.
-            return self._json(400, {"error": str(exc)}, close=True)
+            return self._json(400, {"error": str(exc)})
         except (IngestVerifyError, OSError) as exc:
-            return self._json(500, {"error": str(exc)}, close=True)
+            return self._json(500, {"error": str(exc)})
         return self._json(201 if created else 200, {
             "key": key,
             "created": created,
@@ -825,8 +909,7 @@ class StoreApp:
     def _read_only_response(self) -> Response:
         return self._json(405, {"error": "this server is read-only; start "
                                          "repro serve with --root DIR "
-                                         "--writable to enable ingest"},
-                          close=True)
+                                         "--writable to enable ingest"})
 
     def _auth_failure(self, manager: IngestManager, request: Request,
                       key: str) -> Optional[Response]:
@@ -839,15 +922,13 @@ class StoreApp:
             return None
         return self._json(401, {"error": f"mutating key {key!r} requires a "
                                          f"bearer token"},
-                          close=True,
                           extra={"WWW-Authenticate": "Bearer"})
 
     @staticmethod
     def _json(code: int, obj: dict, *, close: bool = False,
               extra: Optional[Dict[str, str]] = None) -> Response:
-        # ``close`` drops the connection after the response: error paths of
-        # the upload routes may leave unread body bytes on the socket, which
-        # would desynchronize keep-alive framing for the next request.
+        # ``close`` is for the answers given outside a route (a refused
+        # head, a crash); after a route, ``handle`` decides (``body_unread``).
         headers = {"Content-Type": "application/json"}
         if extra:
             headers.update(extra)
@@ -859,69 +940,69 @@ class StoreApp:
 # The threaded front end (fallback: `repro serve --server threaded`)
 # ---------------------------------------------------------------------------
 
-class StoreRequestHandler(BaseHTTPRequestHandler):
-    """Adapts one ``http.server`` request to the shared :class:`StoreApp`."""
+class StoreRequestHandler(socketserver.StreamRequestHandler):
+    """One connection's thread: the shared codec over a blocking socket."""
 
     server: "StoreHTTPServer"  # narrowed from BaseServer: set by the server
-
-    server_version = "repro-serve/3"
-    protocol_version = "HTTP/1.1"  # keep-alive; every response sets Content-Length
     # Head and body go out as two segments; with Nagle on, a small keep-alive
     # read would wait out the client's delayed ACK (~40 ms) between them.
     disable_nagle_algorithm = True
 
-    def setup(self) -> None:
-        self.timeout = self.server.read_timeout  # the connection's timeout
-        super().setup()
+    def handle(self) -> None:
+        sock, buf, close = self.connection, bytearray(), False
+        self.timeout = self.server.read_timeout
+        sock.settimeout(self.timeout)  # the idle wait for a head
+        while not close:
+            try:
+                head = self._read_head(buf)
+                if head is None:
+                    return
+                method, target, headers, keep_alive = head
+                reader = BodyReader(sock, self.timeout, headers, bytes(buf))
+                response = self.server.app.handle(
+                    Request(method, target, headers, reader))
+                buf = reader.prefix
+            except HeadError as exc:
+                response, keep_alive = exc.response(), False
+            close = response.close or not keep_alive
+            try:
+                sock.sendall(render_head(response, close))
+                sock.sendall(response.body)
+            except OSError:
+                return
 
-    # ----------------------------------------------------------------- routes
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-    def _dispatch(self, method: str) -> None:
-        headers = {name.lower(): value for name, value in self.headers.items()}
-        body = BodyReader(self.connection, self.timeout,
-                          rfile=cast(io.BufferedReader, self.rfile))
-        request = Request(method, self.path, headers, body)
-        response = self.server.app.handle(request)
+    def _read_head(self, buf: bytearray) -> Optional[Head]:
+        """The next head, or ``None`` once the client closes, idles past the
+        timeout or takes longer than it from a head's first byte to its end."""
+        deadline = None
         try:
-            self._send(response)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            self.close_connection = True
-
-    def _send(self, response: Response) -> None:
-        self.send_response(response.status)
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(response.body)))
-        if response.close:
-            self.close_connection = True
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if response.body and response.status != 304:
-            self.wfile.write(response.body)
-
-    def log_message(self, fmt, *args) -> None:
-        """Silent: the access line is ``StoreApp.handle``'s, for both front ends."""
+            while (head := parse_head(buf)) is None:
+                if buf and deadline is None and self.timeout is not None:
+                    deadline = time.monotonic() + self.timeout
+                if deadline is not None:  # 0 once it passes: never blocks
+                    self.connection.settimeout(
+                        max(deadline - time.monotonic(), 0.0))
+                if not (data := self.connection.recv(1 << 16)):
+                    return None
+                buf += data
+            return head
+        except OSError:  # a timeout, the passed deadline, or a reset
+            return None
+        finally:
+            self.connection.settimeout(self.timeout)
 
 
-class StoreHTTPServer(ThreadingHTTPServer):
+class StoreHTTPServer(socketserver.ThreadingTCPServer):
     """A threaded HTTP server bound to one :class:`ArchiveStore`.
 
     ``ingest`` (an :class:`IngestManager`) enables the mutating routes; with
     ``None`` the server is read-only and POST/DELETE answer 405.
-    ``read_timeout`` (seconds, ``None`` = no limit) becomes each
-    connection's socket timeout, so an idle or stalled client eventually
-    frees its thread.
+    ``read_timeout`` (seconds, ``None`` = no limit) bounds an idle wait, a
+    head from its first byte and a body read, so no client pins a thread.
     """
 
     daemon_threads = True  # in-flight requests never block process exit
+    allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int], store: ArchiveStore, *,
                  ingest: Optional[IngestManager] = None,
@@ -951,13 +1032,12 @@ def make_server(store: ArchiveStore, host: str = "127.0.0.1", port: int = 0,
     ``server`` selects the front end: ``"threaded"`` (default here, for
     drop-in compatibility) is the one-thread-per-connection fallback;
     ``"selectors"`` is the non-blocking event-loop front end of
-    :mod:`repro.store.aserver` (what the CLI defaults to) — same routes,
-    status codes and auth either way, since both wrap one
-    :class:`StoreApp`.  ``read_timeout`` bounds how long a connection may
-    sit idle (or stall mid-body); ``max_connections`` and ``workers`` apply
-    to the selectors front end (connection guard / decode pool size).
-    ``quiet=False`` prints the access log (one line per request, logger
-    ``repro.serve``) to stderr.
+    :mod:`repro.store.aserver` (what the CLI defaults to) — one codec and
+    one :class:`StoreApp` either way.  ``read_timeout`` bounds an idle wait,
+    a head from its first byte and a body read; ``max_connections`` and
+    ``workers`` apply to the selectors front end (connection guard / decode
+    pool size).  ``quiet=False`` prints the access log (one line per
+    request, logger ``repro.serve``) to stderr.
 
     The caller drives it: ``serve_forever()`` inline (what ``repro serve``
     does after printing the bound URL), or on a thread for embedding

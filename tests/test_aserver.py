@@ -3,7 +3,10 @@
 `test_store_server.py` already runs the whole endpoint contract against both
 front ends; this module covers what only shows up at the transport level —
 keep-alive framing across bodied requests and 4xx-with-unread-body uploads,
-stalled, cut-off and ``Expect: 100-continue`` bodies, the replace-vs-read metadata race the atomic read path fixes, per-connection
+stalled, cut-off and ``Expect: 100-continue`` bodies, the one codec's answers
+to hostile heads and framing (smuggled requests, unread GET bodies, bad or
+split oversize heads, trickled heads, a route that raises), the
+replace-vs-read metadata race the atomic read path fixes, per-connection
 read timeouts, the max-connections guard — plus the client-side bugfixes
 (URL base path, non-finite range, 0-d sources).
 """
@@ -25,7 +28,7 @@ import repro
 from repro import api
 from repro.store import ArchiveStore, IngestManager, make_server
 from repro.store import store as store_module
-from repro.store.aserver import _MAX_HEADER_BYTES
+from repro.store.server import _MAX_HEADER_BYTES
 from repro.store.client import PushError, delete_key, push_field
 from repro.store.server import Request, StoreApp
 
@@ -260,6 +263,133 @@ class TestUploadBodies:
             assert status == 201 and json.loads(body)["created"]
             status, _, body = _read_response(f)
             assert status == 200 and json.loads(body)["shape"] == [4, 4]
+
+
+# ---------------------------------------------------------------------------
+# One HTTP/1.1 codec: hostile heads and framing get one answer (both front
+# ends)
+# ---------------------------------------------------------------------------
+
+#: Heads refused before any route runs, with the JSON answer both give.
+_BAD_HEADS = {
+    "request-line": (b"NONSENSE\r\n\r\n", 400,
+                     "malformed request line 'NONSENSE'"),
+    "http2": (b"GET / HTTP/2.0\r\n\r\n", 505,
+              "unsupported protocol 'HTTP/2.0'"),
+    "patch": (b"PATCH /v1/field HTTP/1.1\r\nHost: t\r\n\r\n", 501,
+              "unsupported method 'PATCH'"),
+    "head": (b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n", 501,
+             "unsupported method 'HEAD'"),
+    "options": (b"OPTIONS * HTTP/1.1\r\nHost: t\r\n\r\n", 501,
+                "unsupported method 'OPTIONS'"),
+    "no-colon": (b"GET /healthz HTTP/1.1\r\nHost: t\r\nNoColon\r\n\r\n",
+                 400, "malformed header line 'NoColon'"),
+}
+
+
+def _closed(sock):
+    """Whether the peer has closed ``sock`` (waits up to its timeout)."""
+    try:
+        return sock.recv(1024) == b""
+    except socket.timeout:
+        return False
+    except OSError:
+        return True
+
+
+class TestOneCodec:
+    def test_content_length_beside_chunked_is_one_400_then_eof(self, server):
+        """RFC 7230 §3.3.3: no framing can be trusted, so nothing behind the
+        head — here a smuggled GET — is ever answered."""
+        smuggled = b"GET /v1/field/info HTTP/1.1\r\nHost: t\r\n\r\n"
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(b"POST /v1/field/regions HTTP/1.1\r\nHost: t\r\n"
+                      b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n"
+                      b"\r\n0\r\n\r\n" + smuggled)
+            status, headers, body = _read_response(f)
+            assert status == 400 and headers.get("connection") == "close"
+            assert json.loads(body)["error"].startswith(
+                "corrupt request framing")
+            assert f.read() == b""
+
+    def test_unread_get_body_closes_the_connection(self, server):
+        inner = b"GET /v1/field/info HTTP/1.1\r\nHost: t\r\n\r\n"
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(b"GET /v1/field/region?r=0:2,0:2,0:2 HTTP/1.1\r\n"
+                      b"Host: t\r\nContent-Length: %d\r\n\r\n" % len(inner)
+                      + inner)
+            status, headers, body = _read_response(f)
+            assert status == 200 and len(body) == 2 * 2 * 2 * 8
+            assert headers.get("connection") == "close"
+            assert f.read() == b""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_HEADS))
+    def test_bad_head_gets_the_same_json_answer(self, server, case):
+        raw, want_status, want_error = _BAD_HEADS[case]
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=30) as s:
+            s.sendall(raw)
+            status, headers, body = _read_response(s.makefile("rb"))
+        assert status == want_status
+        assert headers.get("connection") == "close"
+        assert headers.get("content-type") == "application/json"
+        assert json.loads(body) == {"error": want_error}
+
+    def test_oversized_head_in_two_sends_is_431(self, server):
+        """The cap holds whether or not the head's end arrived with it."""
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=30) as s:
+            s.sendall(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 30000)
+            time.sleep(0.05)
+            s.sendall(b"a" * 40000 + b"\r\n\r\n")
+            status, headers, body = _read_response(s.makefile("rb"))
+        assert status == 431 and headers.get("connection") == "close"
+        assert json.loads(body) == {
+            "error": "request header section too large"}
+
+    def test_a_route_that_raises_is_a_500_that_closes(self, server,
+                                                      monkeypatch):
+        def broken(self, key):
+            raise RuntimeError("synthetic route fault")
+
+        monkeypatch.setattr(ArchiveStore, "entry_info", broken)
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=30) as s:
+            f = s.makefile("rb")
+            s.sendall(b"GET /v1/field/info HTTP/1.1\r\nHost: t\r\n\r\n")
+            status, headers, body = _read_response(f)
+            assert status == 500 and headers.get("connection") == "close"
+            assert json.loads(body) == {
+                "error": "internal error: RuntimeError('synthetic route "
+                         "fault')"}
+            assert f.read() == b""
+
+    def test_a_trickled_head_is_dropped_and_others_are_served(
+            self, writable_server):
+        """Slowloris: every byte arrives well inside the read timeout, but
+        the head must be whole within the timeout of its first byte."""
+        start = time.monotonic()
+        served = False
+        with socket.create_connection(writable_server.server_address[:2],
+                                      timeout=0.25) as s:
+            s.sendall(b"GET /v1/field/info HTTP/1.1\r\nX-Slow: ")
+            while time.monotonic() - start < 6:
+                if _closed(s):
+                    break
+                if not served:  # the trickle holds no one up
+                    served = _fetch(writable_server.url,
+                                    "/v1/field/info")[0] == 200
+                try:
+                    s.sendall(b"a")
+                except OSError:
+                    break
+            elapsed = time.monotonic() - start
+        assert served
+        assert elapsed < 2.5  # read_timeout=1.0
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +728,7 @@ def test_front_ends_agree_on_a_cold_warm_partial_script(grid_path, caplog):
                                  if headers is None else headers)
                     resp = conn.getresponse()
                     got = {k.lower(): v for k, v in resp.getheaders()
-                           if k.lower() not in ("server", "date")}
+                           if k.lower() != "date"}
                     answers.append((resp.status, got, resp.read()))
                     etag = etag or got["etag"]
                 conn.request("GET", "/metrics")

@@ -502,6 +502,21 @@ class TestSpillCache:
         assert src.read_at(10, 50) == first
         assert src.stats()["spill_misses"] == 2
 
+    def test_truncated_file_is_not_adopted_on_restart(self, tmp_path,
+                                                      grid_blob):
+        spill = tmp_path / "spill"
+        first = CachingByteSource(BytesByteSource(grid_blob), spill)
+        want = first.read_at(10, 50)
+        for spilled in spill.iterdir():
+            with open(spilled, "r+b") as f:
+                f.truncate(20)  # damaged while no process held it
+        second = CachingByteSource(BytesByteSource(grid_blob), spill)
+        assert second.read_at(10, 50) == want
+        stats = second.stats()
+        assert (stats["spill_hits"], stats["spill_misses"]) == (0, 1)
+        assert stats["spill_nbytes"] == 50
+        assert [p.stat().st_size for p in spill.iterdir()] == [50]
+
     def test_failed_fetch_reaches_every_coalesced_reader(
             self, tmp_path, grid_blob, submit_parked):
         entered, release = threading.Event(), threading.Event()
