@@ -15,16 +15,15 @@ across all blocks at once (:func:`_lorenzo_encode_blocks`,
 :func:`_lorenzo_decode_blocks`, over the one traversal in
 :func:`repro.predictors.lorenzo._hyperplane_predictions`):
 ``O(sum(block_shape))`` vector steps instead of one Python iteration per
-point.  The faithful per-element formulations are
-retained as the scalar reference paths — ``compress(..., scalar=True)`` /
-``decompress(..., scalar=True)`` — and the vectorized paths are proven
-bit-identical to them (and byte-identical at the archive level) by the
-regression suite in ``tests/test_sz21_vectorized.py``.
+point.  The faithful per-element formulations live in
+``tests/reference_codecs.py`` as test oracles, and the regression suite in
+``tests/test_sz21_vectorized.py`` proves the vectorized paths bit-identical
+to them (and byte-identical at the archive level).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from repro.encoding.lossless import get_backend
 from repro.predictors.lorenzo import (
     _batched_lorenzo_predict as _lorenzo_predict_blocks,  # the byte-identity suite's name
     _hyperplane_predictions,
-    lorenzo_predict,
 )
 from repro.predictors.regression import LinearRegressionPredictor, RegressionCoefficients
 from repro.quantization.linear import (UNPREDICTABLE_CODE, dequantize_prediction_errors,
@@ -47,85 +45,6 @@ FLAG_LORENZO = 0
 FLAG_REGRESSION = 1
 
 
-def _sequential_lorenzo_encode(block: np.ndarray, error_bound: float, num_bins: int
-                               ) -> Tuple[np.ndarray, List[float], np.ndarray]:
-    """Classic SZ Lorenzo scan: predict from reconstructed neighbours, quantize."""
-    step = 2.0 * error_bound
-    center = num_bins // 2
-    recon = np.zeros_like(block)
-    codes = np.zeros(block.shape, dtype=np.int64)
-    unpred: List[float] = []
-    it = np.ndindex(*block.shape)
-    ndim = block.ndim
-    for idx in it:
-        if ndim == 1:
-            (i,) = idx
-            pred = recon[i - 1] if i > 0 else 0.0
-        elif ndim == 2:
-            i, j = idx
-            a = recon[i, j - 1] if j > 0 else 0.0
-            b = recon[i - 1, j] if i > 0 else 0.0
-            c = recon[i - 1, j - 1] if (i > 0 and j > 0) else 0.0
-            pred = a + b - c
-        else:
-            i, j, k = idx
-            f = lambda di, dj, dk: (  # noqa: E731
-                recon[i - di, j - dj, k - dk]
-                if (i - di >= 0 and j - dj >= 0 and k - dk >= 0) else 0.0
-            )
-            pred = (f(0, 0, 1) + f(0, 1, 0) + f(1, 0, 0)
-                    - f(0, 1, 1) - f(1, 0, 1) - f(1, 1, 0) + f(1, 1, 1))
-        orig = block[idx]
-        q = int(round((orig - pred) / step))
-        code = q + center
-        value = pred + step * q
-        if 1 <= code < num_bins and abs(value - orig) <= error_bound:
-            codes[idx] = code
-            recon[idx] = value
-        else:
-            codes[idx] = UNPREDICTABLE_CODE
-            snapped = round(orig / step) * step
-            if abs(snapped - orig) > error_bound:
-                snapped = orig
-            unpred.append(float(snapped))
-            recon[idx] = snapped
-    return codes, unpred, recon
-
-
-def _sequential_lorenzo_decode(codes: np.ndarray, unpred: np.ndarray, error_bound: float,
-                               num_bins: int) -> np.ndarray:
-    """Invert :func:`_sequential_lorenzo_encode`."""
-    step = 2.0 * error_bound
-    center = num_bins // 2
-    recon = np.zeros(codes.shape, dtype=np.float64)
-    unpred_iter = iter(np.asarray(unpred, dtype=np.float64).tolist())
-    ndim = codes.ndim
-    for idx in np.ndindex(*codes.shape):
-        if ndim == 1:
-            (i,) = idx
-            pred = recon[i - 1] if i > 0 else 0.0
-        elif ndim == 2:
-            i, j = idx
-            a = recon[i, j - 1] if j > 0 else 0.0
-            b = recon[i - 1, j] if i > 0 else 0.0
-            c = recon[i - 1, j - 1] if (i > 0 and j > 0) else 0.0
-            pred = a + b - c
-        else:
-            i, j, k = idx
-            f = lambda di, dj, dk: (  # noqa: E731
-                recon[i - di, j - dj, k - dk]
-                if (i - di >= 0 and j - dj >= 0 and k - dk >= 0) else 0.0
-            )
-            pred = (f(0, 0, 1) + f(0, 1, 0) + f(1, 0, 0)
-                    - f(0, 1, 1) - f(1, 0, 1) - f(1, 1, 0) + f(1, 1, 1))
-        code = int(codes[idx])
-        if code == UNPREDICTABLE_CODE:
-            recon[idx] = next(unpred_iter)
-        else:
-            recon[idx] = pred + step * (code - center)
-    return recon
-
-
 def _lorenzo_decode_blocks(codes: np.ndarray, uvals: np.ndarray, is_unp: np.ndarray,
                            error_bound: float, num_bins: int) -> np.ndarray:
     """Hyperplane-vectorized Lorenzo decode of a whole batch of blocks at once.
@@ -134,9 +53,9 @@ def _lorenzo_decode_blocks(codes: np.ndarray, uvals: np.ndarray, is_unp: np.ndar
     unpredictable literals scattered at their positions and ``is_unp`` marks
     them.  The scan order and the predictions come from
     :func:`_hyperplane_predictions`; this is the per-plane dequantize step.
-    Each step evaluates the same expressions in the same order as
-    :func:`_sequential_lorenzo_decode`, so the output is bit-identical to the
-    scalar path (guarded by a regression test).
+    Each step evaluates the same expressions in the same order as the
+    sequential per-point scan, so the output is bit-identical to it (guarded
+    by the regression suite).
     """
     step = 2.0 * error_bound
     center = num_bins // 2
@@ -154,10 +73,10 @@ def _lorenzo_encode_blocks(batch: np.ndarray, error_bound: float, num_bins: int
     The encode counterpart of :func:`_lorenzo_decode_blocks`: quantization
     feeds the reconstructed value back into the next hyperplane's prediction,
     so this is the per-plane quantize step.  Each step evaluates the same
-    expressions in the same order as :func:`_sequential_lorenzo_encode`
+    expressions in the same order as the sequential per-point scan
     (``np.rint`` matches Python's banker's-rounding ``round``), so codes and
-    reconstruction are bit-identical to the scalar path (guarded by the
-    regression suite).  Returns ``(codes, recon)``; the unpredictable
+    reconstruction are bit-identical to it (guarded by the regression
+    suite).  Returns ``(codes, recon)``; the unpredictable
     literals sit in ``recon`` at the positions where ``codes == 0``.
     """
     step = 2.0 * error_bound
@@ -166,7 +85,7 @@ def _lorenzo_encode_blocks(batch: np.ndarray, error_bound: float, num_bins: int
     codes = np.zeros(batch.shape, dtype=np.int64)
 
     def quantize(orig: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # ``+ 0.0`` normalizes -0.0 to +0.0, matching the scalar path's
+        # ``+ 0.0`` normalizes -0.0 to +0.0, matching the sequential scan's
         # ``int(round(...))`` quantum (a Python int has no signed zero).
         q = np.rint((orig - pred) / step) + 0.0
         code = q + center
@@ -192,15 +111,11 @@ class SZ21Compressor(Compressor):
     name = "SZ2.1"
 
     def __init__(self, block_size_2d: int = 16, block_size_3d: int = 8,
-                 num_bins: int = 65536, lossless_backend: str = "zlib",
-                 scalar: bool = False):
+                 num_bins: int = 65536, lossless_backend: str = "zlib"):
         self.block_size_2d = int(block_size_2d)
         self.block_size_3d = int(block_size_3d)
         self.num_bins = int(num_bins)
         self.lossless_backend = str(lossless_backend)
-        # Encode-path selector only — never archived: both paths produce
-        # byte-identical payloads, so the flag must not alter archive bytes.
-        self.scalar = bool(scalar)
         self._entropy = EntropyCodec(backend=get_backend(lossless_backend))
         self._backend = get_backend(lossless_backend)
         self._regression = LinearRegressionPredictor()
@@ -231,48 +146,15 @@ class SZ21Compressor(Compressor):
             coef_rows[b] = np.asarray(coef.values, dtype=np.float64)
         return reg_preds, coef_rows
 
-    def _encode_blocks_scalar(self, blocks: np.ndarray, abs_eb: float
-                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                         Optional[np.ndarray]]:
-        """Per-element reference encode (the original SZ2.1 formulation)."""
-        n_blocks = blocks.shape[0]
-        flags = np.zeros(n_blocks, dtype=np.uint8)
-        all_codes: List[np.ndarray] = []
-        all_unpred: List[float] = []
-        reg_coefs: List[np.ndarray] = []
-
-        # Selection losses are computed on original data, as SZ2.1's sampling does.
-        for b in range(n_blocks):
-            block = blocks[b]
-            reg_pred, coef = self._regression.fit_predict(block, abs_eb)
-            reg_loss = np.abs(block - reg_pred).mean()
-            lor_loss = np.abs(block - lorenzo_predict(block)).mean()
-            if reg_loss < lor_loss:
-                flags[b] = FLAG_REGRESSION
-                qr = quantize_prediction_errors(block, reg_pred, abs_eb, self.num_bins)
-                all_codes.append(qr.codes.ravel())
-                all_unpred.extend(qr.unpredictable.tolist())
-                reg_coefs.append(np.asarray(coef.values, dtype=np.float64))
-            else:
-                flags[b] = FLAG_LORENZO
-                codes, unpred, _ = _sequential_lorenzo_encode(block, abs_eb, self.num_bins)
-                all_codes.append(codes.ravel())
-                all_unpred.extend(unpred)
-
-        codes = np.concatenate(all_codes) if all_codes else np.zeros(0, dtype=np.int64)
-        unpred_arr = np.asarray(all_unpred, dtype=np.float64)
-        coefs = np.concatenate(reg_coefs) if reg_coefs else None
-        return flags, codes, unpred_arr, coefs
-
     def _encode_blocks(self, blocks: np.ndarray, abs_eb: float
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                   Optional[np.ndarray]]:
         """Vectorized encode: batched selection, quantization and Lorenzo sweep.
 
-        Bit-identical to :meth:`_encode_blocks_scalar` — same per-point
-        arithmetic in the same order, with the unpredictable-literal stream
-        recovered from the batched reconstruction in C order (which equals the
-        scalar path's block-by-block append order).
+        Bit-identical to the per-block SZ2.1 loop — same per-point arithmetic
+        in the same order, with the unpredictable-literal stream recovered
+        from the batched reconstruction in C order (which equals that loop's
+        block-by-block append order).
         """
         n_blocks = blocks.shape[0]
         flags = np.zeros(n_blocks, dtype=np.uint8)
@@ -307,18 +189,11 @@ class SZ21Compressor(Compressor):
         coefs = coef_rows[reg_idx].ravel() if reg_idx.size else None
         return flags, codes, unpred_arr, coefs
 
-    def compress(self, data: np.ndarray, rel_error_bound: float,
-                 scalar: Optional[bool] = None) -> bytes:
-        """Encode ``data``; ``scalar=True`` forces the per-element reference
-        encoder (byte-identical to the default vectorized one — kept for the
-        regression suite and as executable documentation of the scan order).
-        ``scalar=None`` defers to the constructor's ``scalar`` flag."""
+    def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
         data, abs_eb = self._checked_input(data, rel_error_bound)
 
         blocks, grid = split_into_blocks(data, self._block_size(data.ndim))
-        use_scalar = self.scalar if scalar is None else bool(scalar)
-        encode = self._encode_blocks_scalar if use_scalar else self._encode_blocks
-        flags, codes, unpred_arr, coefs = encode(blocks, abs_eb)
+        flags, codes, unpred_arr, coefs = self._encode_blocks(blocks, abs_eb)
 
         container = ByteContainer()
         container.put_json("meta", {
@@ -336,10 +211,7 @@ class SZ21Compressor(Compressor):
         return container.to_bytes()
 
     # --------------------------------------------------------------- decompress
-    def decompress(self, payload: bytes, scalar: bool = False) -> np.ndarray:
-        """Decode a payload; ``scalar=True`` forces the per-element reference
-        path (bit-identical to the default vectorized one — kept for the
-        regression test and as executable documentation of the scan order)."""
+    def decompress(self, payload: bytes) -> np.ndarray:
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
@@ -357,6 +229,8 @@ class SZ21Compressor(Compressor):
         n_coef = len(block_shape) + 1
         if len(flags) != grid.n_blocks or len(codes) != grid.n_blocks * block_elems:
             raise ValueError("corrupt payload: stream sizes do not match the block grid")
+        if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= num_bins):
+            raise ValueError("corrupt payload: quantization code out of range")
         if not np.all((flags == FLAG_LORENZO) | (flags == FLAG_REGRESSION)):
             raise ValueError("corrupt payload: unknown block predictor flag")
         blocks = np.zeros((grid.n_blocks,) + block_shape, dtype=np.float64)
@@ -374,20 +248,15 @@ class SZ21Compressor(Compressor):
 
         lorenzo_idx = np.flatnonzero(flags == FLAG_LORENZO)
         if lorenzo_idx.size:
-            if scalar:
-                for b in lorenzo_idx:
-                    blocks[b] = _sequential_lorenzo_decode(
-                        codes_all[b], unpred[offsets[b]:offsets[b + 1]], abs_eb, num_bins)
-            else:
-                sel_mask = unp_mask[lorenzo_idx]
-                uvals = np.zeros((lorenzo_idx.size,) + block_shape, dtype=np.float64)
-                if counts[lorenzo_idx].sum():
-                    # Boolean assignment scatters in C order, matching the
-                    # order the encoder emitted the per-block literals.
-                    uvals[sel_mask] = np.concatenate(
-                        [unpred[offsets[b]:offsets[b + 1]] for b in lorenzo_idx])
-                blocks[lorenzo_idx] = _lorenzo_decode_blocks(
-                    codes_all[lorenzo_idx], uvals, sel_mask, abs_eb, num_bins)
+            sel_mask = unp_mask[lorenzo_idx]
+            uvals = np.zeros((lorenzo_idx.size,) + block_shape, dtype=np.float64)
+            if counts[lorenzo_idx].sum():
+                # Boolean assignment scatters in C order, matching the
+                # order the encoder emitted the per-block literals.
+                uvals[sel_mask] = np.concatenate(
+                    [unpred[offsets[b]:offsets[b + 1]] for b in lorenzo_idx])
+            blocks[lorenzo_idx] = _lorenzo_decode_blocks(
+                codes_all[lorenzo_idx], uvals, sel_mask, abs_eb, num_bins)
 
         coef_pos = 0
         for b in np.flatnonzero(flags == FLAG_REGRESSION):

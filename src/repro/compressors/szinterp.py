@@ -9,8 +9,6 @@ stream format.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.compressors.base import Compressor
@@ -20,7 +18,6 @@ from repro.encoding.lossless import get_backend
 from repro.predictors.interpolation import (
     multilevel_interpolation_decode,
     multilevel_interpolation_encode,
-    multilevel_interpolation_encode_scalar,
 )
 from repro.registry import register_compressor
 
@@ -32,30 +29,19 @@ class SZInterpCompressor(Compressor):
 
     name = "SZinterp"
 
-    def __init__(self, num_bins: int = 65536, lossless_backend: str = "zlib",
-                 scalar: bool = False):
+    def __init__(self, num_bins: int = 65536, lossless_backend: str = "zlib"):
         self.num_bins = int(num_bins)
         self.lossless_backend = str(lossless_backend)
-        # Encode-path selector only — never archived: both paths produce
-        # byte-identical payloads, so the flag must not alter archive bytes.
-        self.scalar = bool(scalar)
         self._entropy = EntropyCodec(backend=get_backend(lossless_backend))
         self._backend = get_backend(lossless_backend)
 
     def archive_options(self) -> dict:
         return {"num_bins": self.num_bins, "lossless_backend": self.lossless_backend}
 
-    def compress(self, data: np.ndarray, rel_error_bound: float,
-                 scalar: Optional[bool] = None) -> bytes:
-        """Encode ``data``; ``scalar=True`` forces the per-point reference
-        encoder (byte-identical to the default vectorized one).  ``None``
-        defers to the constructor's ``scalar`` flag."""
+    def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
         data, abs_eb = self._checked_input(data, rel_error_bound)
 
-        use_scalar = self.scalar if scalar is None else bool(scalar)
-        encode = (multilevel_interpolation_encode_scalar if use_scalar
-                  else multilevel_interpolation_encode)
-        enc = encode(data, abs_eb, self.num_bins)
+        enc = multilevel_interpolation_encode(data, abs_eb, self.num_bins)
         anchor_offset = int(enc.anchor_codes.min()) if enc.anchor_codes.size else 0
 
         container = ByteContainer()
@@ -79,8 +65,10 @@ class SZInterpCompressor(Compressor):
         shape = tuple(meta["shape"])
         abs_eb = float(meta["abs_error_bound"])
         anchor_shape = tuple(meta["anchor_shape"])
-        anchors = self._entropy.decode(container["anchors"]).reshape(anchor_shape) \
-            + int(meta["anchor_offset"])
+        anchors = self._entropy.decode(container["anchors"])
+        if anchors.size != int(np.prod(anchor_shape)):
+            raise ValueError("corrupt payload: anchor stream size mismatch")
+        anchors = anchors.reshape(anchor_shape) + int(meta["anchor_offset"])
         codes = self._entropy.decode(container["codes"])
         unpred = np.frombuffer(self._backend.decompress(container["unpred"]), dtype=np.float64)
         return multilevel_interpolation_decode(anchors, codes, unpred, shape, abs_eb,

@@ -4,8 +4,8 @@ This is the "Huffman encoding" stage of AE-SZ / SZ2.1 (Algorithm 1, line 17).
 Symbols are the non-negative linear-scale quantization codes.  Both directions
 are vectorized with NumPy: the encoder extracts every payload bit in one
 ``repeat``-based pass over the concatenated codes (O(total_bits) work, chunked
-to bound scratch; a bit-serial reference packer is retained behind
-``encode(..., scalar=True)`` and proven byte-identical), and the decoder uses
+to bound scratch; the bit-serial packer it replaced is the test oracle in
+``tests/reference_codecs.py``, proven byte-identical), and the decoder uses
 a lane-wise table-driven kernel (see below) instead of a per-symbol Python
 loop.
 
@@ -107,29 +107,6 @@ def _pack_codes(sym_codes: np.ndarray, sym_lens: np.ndarray) -> Tuple[bytes, int
         bits[b0:b1] = ((np.repeat(sym_codes[s0:s1], lens) >> shift)
                        & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits).tobytes(), total_bits
-
-
-def _pack_codes_scalar(sym_codes: np.ndarray, sym_lens: np.ndarray) -> Tuple[bytes, int]:
-    """Bit-serial reference packer: one symbol at a time through a bit buffer.
-
-    Retained as the proven-equivalent baseline for :func:`_pack_codes`; the
-    bit-exactness suite asserts both produce identical payload bytes.
-    """
-    out = bytearray()
-    acc = 0
-    nacc = 0
-    total_bits = 0
-    for code, length in zip(sym_codes.tolist(), sym_lens.tolist()):
-        acc = (acc << length) | code
-        nacc += length
-        total_bits += length
-        while nacc >= 8:
-            nacc -= 8
-            out.append((acc >> nacc) & 0xFF)
-            acc &= (1 << nacc) - 1
-    if nacc:
-        out.append((acc << (8 - nacc)) & 0xFF)
-    return bytes(out), total_bits
 
 
 def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -387,7 +364,7 @@ def _validate_symbol_table(distinct: np.ndarray, max_symbol: int) -> None:
 class HuffmanCodec:
     """Self-contained canonical Huffman codec for non-negative integer arrays."""
 
-    def encode(self, symbols: np.ndarray, *, scalar: bool = False) -> bytes:
+    def encode(self, symbols: np.ndarray) -> bytes:
         symbols = np.ascontiguousarray(symbols)
         if symbols.size == 0:
             return _MAGIC_V2 + _HEADER_V2.pack(0, 0, 0, 0, 0, 1) + _BITS_HEADER.pack(0)
@@ -423,8 +400,7 @@ class HuffmanCodec:
         sym_codes = code_lut[inverse]
         sym_lens = len_lut[inverse]
 
-        pack = _pack_codes_scalar if scalar else _pack_codes
-        payload, total_bits = pack(sym_codes, sym_lens)
+        payload, total_bits = _pack_codes(sym_codes, sym_lens)
 
         # Lane sync table: bit length of every ``chunk``-symbol segment.
         chunk = max(_LANE_SYMBOLS, -(-flat.size // _MAX_LANES))

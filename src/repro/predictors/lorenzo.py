@@ -113,7 +113,7 @@ def _hyperplane_predictions(recon: np.ndarray
     store the plane's reconstruction into ``recon[idx]`` before asking for
     the next plane — ``O(sum(block_shape))`` vector steps over all blocks at
     once instead of one Python iteration per point.  Neighbours are summed in
-    the order the scalar reference scans write them (``a + b - c`` in 2-d),
+    the order the sequential per-point scan writes them (``a + b - c`` in 2-d),
     so predictions are bit-identical to the per-element formulation.
     """
     shape = recon.shape[1:]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_codecs import sequential_lorenzo_decode, sequential_lorenzo_encode
 from repro.compressors import (
     AEACompressor,
     AEBCompressor,
@@ -12,7 +13,6 @@ from repro.compressors import (
     SZInterpCompressor,
     ZFPCompressor,
 )
-from repro.compressors.sz21 import _sequential_lorenzo_decode, _sequential_lorenzo_encode
 from repro.compressors.zfp import _forward_transform, _inverse_transform, _linf_gain
 from repro.data import load_field_snapshot
 from repro.metrics import psnr, verify_error_bound
@@ -101,16 +101,16 @@ class TestSZ21Internals:
     def test_sequential_lorenzo_roundtrip_2d(self):
         rng = np.random.default_rng(0)
         block = np.cumsum(np.cumsum(rng.normal(size=(12, 12)), axis=0), axis=1) * 0.01
-        codes, unpred, recon = _sequential_lorenzo_encode(block, 1e-3, 65536)
-        decoded = _sequential_lorenzo_decode(codes, np.array(unpred), 1e-3, 65536)
+        codes, unpred, recon = sequential_lorenzo_encode(block, 1e-3, 65536)
+        decoded = sequential_lorenzo_decode(codes, np.array(unpred), 1e-3, 65536)
         np.testing.assert_array_equal(decoded, recon)
         assert np.max(np.abs(recon - block)) <= 1e-3 * (1 + 1e-9)
 
     def test_sequential_lorenzo_roundtrip_3d(self):
         rng = np.random.default_rng(1)
         block = rng.normal(size=(6, 6, 6))
-        codes, unpred, recon = _sequential_lorenzo_encode(block, 0.05, 256)
-        decoded = _sequential_lorenzo_decode(codes, np.array(unpred), 0.05, 256)
+        codes, unpred, recon = sequential_lorenzo_encode(block, 0.05, 256)
+        decoded = sequential_lorenzo_decode(codes, np.array(unpred), 0.05, 256)
         np.testing.assert_array_equal(decoded, recon)
 
     def test_error_feedback_degrades_prediction_at_large_bounds(self):
@@ -118,8 +118,8 @@ class TestSZ21Internals:
         tied to the reconstructed (not original) neighbours."""
         x = np.linspace(0, 1, 32)
         block = np.sin(2 * np.pi * np.add.outer(x, x))
-        _, _, recon_small = _sequential_lorenzo_encode(block, 1e-4, 65536)
-        _, _, recon_large = _sequential_lorenzo_encode(block, 5e-2, 65536)
+        _, _, recon_small = sequential_lorenzo_encode(block, 1e-4, 65536)
+        _, _, recon_large = sequential_lorenzo_encode(block, 5e-2, 65536)
         err_small = np.abs(recon_small - block).mean() / 1e-4
         err_large = np.abs(recon_large - block).mean() / 5e-2
         # Relative to the bound, the large-eb reconstruction is not better.

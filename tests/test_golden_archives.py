@@ -14,6 +14,7 @@ summation order) are held to allclose + their recorded error bound.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro
+from reference_codecs import reference_paths
 from repro.encoding.container import Archive, ChunkedIndex, GridIndex, archive_version
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -87,11 +89,12 @@ VECTORIZED = [e for e in MANIFEST if e["codec"] in ("sz21", "szinterp")]
 
 @pytest.mark.parametrize("entry", VECTORIZED, ids=[e["file"] for e in VECTORIZED])
 @pytest.mark.parametrize("scalar", [False, True], ids=["vectorized", "scalar"])
-def test_golden_reencodes_byte_identical(entry, scalar):
+def test_golden_reencodes_byte_identical(entry, scalar, monkeypatch):
     """Today's encoders must *reproduce* the committed archives, not merely
-    decode them: the vectorized sz21/szinterp encode paths (and their scalar
-    references) are pinned to the exact bytes written at fixture time, so an
-    encode-path change that drifts the format fails here before it ships."""
+    decode them: the vectorized sz21/szinterp encode paths (and, under
+    ``scalar``, the per-element references swapped in by ``reference_paths``)
+    are pinned to the exact bytes written at fixture time, so an encode-path
+    change that drifts the format fails here before it ships."""
     from repro import Abs, PtwRel, Rel
     from repro.api import compress_chunked
 
@@ -99,22 +102,20 @@ def test_golden_reencodes_byte_identical(entry, scalar):
     data = np.load(GOLDEN / f"{entry['input']}.npy")
     bound = {"rel": Rel, "abs": Abs,
              "ptw_rel": PtwRel}[entry["bound_mode"]](entry["bound_value"])
-    opts = {"scalar": True} if scalar else None
     header = repro.read_header(blob)
-    if not entry["chunked"]:
-        again = repro.compress(data, entry["codec"], bound, codec_options=opts)
-    elif entry.get("version") == 3:
-        again = compress_chunked(data, codec=entry["codec"], bound=bound,
-                                 chunk_shape=header.chunk_shape,
-                                 codec_options=opts)
-    else:  # version-2: chunk_size in elements, starts[] in leading-axis rows
-        rows = header.starts[1] - header.starts[0]
-        again = compress_chunked(data, codec=entry["codec"], bound=bound,
-                                 chunk_size=rows * int(np.prod(data.shape[1:])),
-                                 codec_options=opts)
+    with reference_paths(monkeypatch) if scalar else contextlib.nullcontext():
+        if not entry["chunked"]:
+            again = repro.compress(data, entry["codec"], bound)
+        elif entry.get("version") == 3:
+            again = compress_chunked(data, codec=entry["codec"], bound=bound,
+                                     chunk_shape=header.chunk_shape)
+        else:  # version-2: chunk_size in elements, starts[] in leading-axis rows
+            rows = header.starts[1] - header.starts[0]
+            again = compress_chunked(data, codec=entry["codec"], bound=bound,
+                                     chunk_size=rows * int(np.prod(data.shape[1:])))
     assert again == blob, (
         f"{entry['file']}: re-encoding the golden input no longer reproduces "
-        f"the committed archive bytes ({'scalar' if scalar else 'vectorized'} "
+        f"the committed archive bytes ({'reference' if scalar else 'vectorized'} "
         f"encode path)")
 
 

@@ -21,8 +21,6 @@ _PENDING = ("test-only today; the tests that pin it are on the protected floor, 
             "which one PR may retire only a few — delete it together with them")
 
 #: Names allowed to have no caller outside ``tests/``, each with its reason.
-#: ``*_scalar`` / ``_sequential_lorenzo_*`` (the byte-identity oracles) need no
-#: entry: they are private, or reached through the public ``scalar=`` switches.
 ALLOWED = {
     "check_layer_gradients": _REFERENCE,
     **dict.fromkeys((

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro
+from reference_codecs import reference_paths
 from repro import Abs, PtwRel, Rel
 from repro.api import compress_chunked
 from repro.registry import available_compressors, compressor_spec
@@ -127,19 +128,21 @@ def test_roundtrip_property(codec, draw):
 
 @pytest.mark.parametrize("codec", ["sz21", "szinterp"])
 @pytest.mark.parametrize("draw", range(N_DRAWS))
-def test_vectorized_encode_archive_equality_property(codec, draw):
+def test_vectorized_encode_archive_equality_property(codec, draw, monkeypatch):
     """Invariant crossing the vectorized encode paths: for any drawn field,
     shape and bound, the vectorized encoder's archive is byte-identical to
-    the scalar reference encoder's (``codec_options={'scalar': True}``)."""
+    the per-element reference encoder's, and decoding it through the
+    reference paths gives the same field (``reference_paths``)."""
     codec_key = sum(codec.encode())  # stable across processes, unlike hash()
     rng = np.random.default_rng([PROPERTY_SEED, 0xE, codec_key, draw])
     data = _draw_array(rng, ndim_choices=(1, 2, 3))
     bound = _draw_bound(rng, data)
     fast = repro.compress(data, codec=codec, bound=bound)
-    slow = repro.compress(data, codec=codec, bound=bound,
-                          codec_options={"scalar": True})
+    with reference_paths(monkeypatch):
+        slow = repro.compress(data, codec=codec, bound=bound)
+        recon_slow = repro.decompress(slow)
     assert fast == slow, (codec, data.shape, bound)
-    recon_fast, recon_slow = repro.decompress(fast), repro.decompress(slow)
+    recon_fast = repro.decompress(fast)
     assert np.array_equal(recon_fast, recon_slow, equal_nan=True), codec
     _assert_bound(data, recon_fast, bound, codec)
 
