@@ -32,13 +32,10 @@ from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
 from repro.encoding.lossless import get_backend
-from repro.predictors.lorenzo import (
-    _batched_lorenzo_predict as _lorenzo_predict_blocks,  # the byte-identity suite's name
-    _hyperplane_predictions,
-)
-from repro.predictors.regression import LinearRegressionPredictor, RegressionCoefficients
-from repro.quantization.linear import (UNPREDICTABLE_CODE, dequantize_prediction_errors,
-                                       quantize_prediction_errors)
+from repro.predictors.blockwise import checked_codes, checked_flags, decode_residuals, float64_section, select
+from repro.predictors.lorenzo import _batched_lorenzo_predict, _hyperplane_predictions
+from repro.predictors.regression import LinearRegressionPredictor, hyperplanes
+from repro.quantization.linear import UNPREDICTABLE_CODE, quantize_prediction_errors
 from repro.registry import register_compressor
 
 FLAG_LORENZO = 0
@@ -136,15 +133,13 @@ class SZ21Compressor(Compressor):
 
         The least-squares solve stays a per-block loop — batching LAPACK's
         SVD is not bit-stable — but it is cheap once the design matrix is
-        memoized; everything downstream of it is batched.
+        memoized.  The prediction is one :func:`hyperplanes` call, the same
+        expression the decoder evaluates.
         """
-        n_blocks = blocks.shape[0]
-        reg_preds = np.empty(blocks.shape, dtype=np.float64)
-        coef_rows = np.empty((n_blocks, blocks.ndim), dtype=np.float64)
-        for b in range(n_blocks):
-            reg_preds[b], coef = self._regression.fit_predict(blocks[b], abs_eb)
-            coef_rows[b] = np.asarray(coef.values, dtype=np.float64)
-        return reg_preds, coef_rows
+        coef_rows = np.empty((blocks.shape[0], blocks.ndim), dtype=np.float64)
+        for b, block in enumerate(blocks):
+            coef_rows[b] = self._regression.fit(block).quantized(abs_eb, max(block.shape)).values
+        return hyperplanes(blocks.shape[1:], coef_rows), coef_rows
 
     def _encode_blocks(self, blocks: np.ndarray, abs_eb: float
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -156,16 +151,12 @@ class SZ21Compressor(Compressor):
         from the batched reconstruction in C order (which equals that loop's
         block-by-block append order).
         """
-        n_blocks = blocks.shape[0]
-        flags = np.zeros(n_blocks, dtype=np.uint8)
-        if n_blocks == 0:
-            return flags, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64), None
+        if blocks.shape[0] == 0:
+            return (np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64),
+                    np.zeros(0, dtype=np.float64), None)
 
         reg_preds, coef_rows = self._fit_regressions(blocks, abs_eb)
-        reg_loss = np.abs(blocks - reg_preds).reshape(n_blocks, -1).mean(axis=1)
-        lor_loss = np.abs(blocks - _lorenzo_predict_blocks(blocks)).reshape(
-            n_blocks, -1).mean(axis=1)
-        flags[reg_loss < lor_loss] = FLAG_REGRESSION
+        flags = select(blocks, [_batched_lorenzo_predict(blocks), reg_preds])
         reg_idx = np.flatnonzero(flags == FLAG_REGRESSION)
         lor_idx = np.flatnonzero(flags == FLAG_LORENZO)
 
@@ -175,19 +166,13 @@ class SZ21Compressor(Compressor):
             qr = quantize_prediction_errors(blocks[reg_idx], reg_preds[reg_idx],
                                             abs_eb, self.num_bins)
             codes_all[reg_idx] = qr.codes
-            scatter = np.zeros(qr.codes.shape, dtype=np.float64)
-            scatter[qr.codes == UNPREDICTABLE_CODE] = qr.unpredictable
-            recon_all[reg_idx] = scatter
+            recon_all[reg_idx] = qr.reconstructed
         if lor_idx.size:
-            codes_l, recon_l = _lorenzo_encode_blocks(blocks[lor_idx], abs_eb,
-                                                      self.num_bins)
-            codes_all[lor_idx] = codes_l
-            recon_all[lor_idx] = recon_l
+            codes_all[lor_idx], recon_all[lor_idx] = _lorenzo_encode_blocks(
+                blocks[lor_idx], abs_eb, self.num_bins)
 
-        codes = codes_all.reshape(-1)
-        unpred_arr = recon_all[codes_all == UNPREDICTABLE_CODE]
         coefs = coef_rows[reg_idx].ravel() if reg_idx.size else None
-        return flags, codes, unpred_arr, coefs
+        return flags, codes_all.reshape(-1), recon_all[codes_all == UNPREDICTABLE_CODE], coefs
 
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
         data, abs_eb = self._checked_input(data, rel_error_bound)
@@ -215,54 +200,32 @@ class SZ21Compressor(Compressor):
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
-        abs_eb = float(meta["abs_error_bound"])
-        num_bins = int(meta["num_bins"])
-
-        flags = self._entropy.decode(container["flags"]).astype(np.uint8)
-        codes = self._entropy.decode(container["codes"])
-        unpred = np.frombuffer(self._backend.decompress(container["unpred"]), dtype=np.float64)
-        coefs = (np.frombuffer(self._backend.decompress(container["coefs"]), dtype=np.float64)
+        abs_eb, num_bins = float(meta["abs_error_bound"]), int(meta["num_bins"])
+        block_shape = grid.block_shape
+        shape = (grid.n_blocks,) + block_shape
+        flags = checked_flags(self._entropy.decode(container["flags"]), grid.n_blocks, 2)
+        codes = checked_codes(self._entropy.decode(container["codes"]), shape, num_bins)
+        unpred = float64_section(self._backend.decompress(container["unpred"]))
+        coefs = (float64_section(self._backend.decompress(container["coefs"]))
                  if "coefs" in container else np.zeros(0))
 
-        block_shape = grid.block_shape
-        block_elems = int(np.prod(block_shape))
-        n_coef = len(block_shape) + 1
-        if len(flags) != grid.n_blocks or len(codes) != grid.n_blocks * block_elems:
-            raise ValueError("corrupt payload: stream sizes do not match the block grid")
-        if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= num_bins):
-            raise ValueError("corrupt payload: quantization code out of range")
-        if not np.all((flags == FLAG_LORENZO) | (flags == FLAG_REGRESSION)):
-            raise ValueError("corrupt payload: unknown block predictor flag")
-        blocks = np.zeros((grid.n_blocks,) + block_shape, dtype=np.float64)
-
-        codes_all = codes.reshape((grid.n_blocks,) + block_shape)
-        unp_mask = codes_all == UNPREDICTABLE_CODE
-        counts = unp_mask.reshape(grid.n_blocks, -1).sum(axis=1)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        if offsets[-1] != unpred.size:
-            raise ValueError("corrupt payload: unpredictable-value stream size mismatch")
-
-        n_regression = int(np.count_nonzero(flags == FLAG_REGRESSION))
-        if len(coefs) != n_regression * n_coef:
+        reg = flags == FLAG_REGRESSION
+        if coefs.size != np.count_nonzero(reg) * (len(block_shape) + 1):
             raise ValueError("corrupt payload: regression coefficient stream size mismatch")
-
-        lorenzo_idx = np.flatnonzero(flags == FLAG_LORENZO)
-        if lorenzo_idx.size:
-            sel_mask = unp_mask[lorenzo_idx]
-            uvals = np.zeros((lorenzo_idx.size,) + block_shape, dtype=np.float64)
-            if counts[lorenzo_idx].sum():
-                # Boolean assignment scatters in C order, matching the
-                # order the encoder emitted the per-block literals.
-                uvals[sel_mask] = np.concatenate(
-                    [unpred[offsets[b]:offsets[b + 1]] for b in lorenzo_idx])
-            blocks[lorenzo_idx] = _lorenzo_decode_blocks(
-                codes_all[lorenzo_idx], uvals, sel_mask, abs_eb, num_bins)
-
-        coef_pos = 0
-        for b in np.flatnonzero(flags == FLAG_REGRESSION):
-            coef = coefs[coef_pos:coef_pos + n_coef]
-            coef_pos += n_coef
-            pred = self._regression.predict(block_shape, RegressionCoefficients(coef))
-            blocks[b] = dequantize_prediction_errors(
-                codes_all[b], pred, unpred[offsets[b]:offsets[b + 1]], abs_eb, num_bins)
+        is_unp = codes == UNPREDICTABLE_CODE
+        counts = is_unp.reshape(grid.n_blocks, -1).sum(axis=1)
+        if counts.sum() != unpred.size:
+            raise ValueError("corrupt payload: unpredictable-value stream size mismatch")
+        # The literal stream is block-by-block in C order: split it by class.
+        reg_literal = np.repeat(reg, counts)
+        blocks = np.empty(shape, dtype=np.float64)
+        if reg.any():
+            blocks[reg] = decode_residuals(codes[reg], hyperplanes(block_shape, coefs),
+                                           unpred[reg_literal], abs_eb, num_bins)
+        lor = ~reg
+        if lor.any():
+            unp_lor = is_unp[lor]
+            uvals = np.zeros(unp_lor.shape, dtype=np.float64)
+            uvals[unp_lor] = unpred[~reg_literal]
+            blocks[lor] = _lorenzo_decode_blocks(codes[lor], uvals, unp_lor, abs_eb, num_bins)
         return reassemble_blocks(blocks, grid)

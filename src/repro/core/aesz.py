@@ -18,7 +18,7 @@ user-specified error bound holds for every point.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,15 +38,13 @@ from repro.nn.serialization import (
     restore_archived_model,
 )
 from repro.nn.training import TrainingConfig, fit_autoencoder
+from repro.predictors.blockwise import checked_flags, decode_residuals, float64_section, select
 from repro.predictors.lorenzo import (
     _batched_lorenzo_inverse,
     _batched_lorenzo_predict,
     _batched_lorenzo_transform,
 )
-from repro.quantization.linear import (
-    dequantize_prediction_errors,
-    quantize_prediction_errors,
-)
+from repro.quantization.linear import quantize_prediction_errors
 from repro.quantization.uniform import UniformQuantizer
 from repro.registry import register_compressor
 from repro.utils.validation import ensure_float_array, ensure_positive, value_range
@@ -232,6 +230,22 @@ class AESZCompressor(Compressor):
         decoded_latents = UniformQuantizer(latent_error_bound).roundtrip(latents)[1]
         return latents, self.autoencoder.decode(decoded_latents)
 
+    # ------------------------------------------------------ residual classes
+    def _put_residuals(self, container: ByteContainer, name: str, blocks: np.ndarray,
+                       pred: np.ndarray, abs_eb: float) -> None:
+        """Quantize one predictor class into ``<name>_codes`` / ``<name>_unpred``."""
+        qr = quantize_prediction_errors(blocks, pred, abs_eb, self.config.num_bins)
+        container[f"{name}_codes"] = self._entropy.encode(qr.codes.ravel())
+        container[f"{name}_unpred"] = self._backend.compress(
+            qr.unpredictable.astype(np.float64).tobytes())
+
+    def _get_residuals(self, container: ByteContainer, name: str, pred: np.ndarray,
+                       abs_eb: float, num_bins: int) -> np.ndarray:
+        """Checked inverse of :meth:`_put_residuals` against the same ``pred``."""
+        literals = float64_section(self._backend.decompress(container[f"{name}_unpred"]))
+        return decode_residuals(self._entropy.decode(container[f"{name}_codes"]), pred,
+                                literals, abs_eb, num_bins)
+
     # --------------------------------------------------------------- compress
     def compress(self, data: np.ndarray, rel_error_bound: float) -> bytes:
         """Compress ``data`` under a value-range-based relative error bound."""
@@ -249,87 +263,44 @@ class AESZCompressor(Compressor):
         out_dtype, abs_eb = output_dtype_and_bound(data, abs_eb, in_dtype)
 
         blocks, grid = split_into_blocks(data, self.config.block_size)
-        n_blocks = blocks.shape[0]
-        block_axes = tuple(range(1, blocks.ndim))
         mode = self.config.predictor_mode
-
-        # --- candidate predictions ------------------------------------------
-        use_ae = mode in ("hybrid", "ae")
-        use_lorenzo = mode in ("hybrid", "lorenzo")
         latent_eb = self.config.latent_error_bound_ratio * abs_eb
+        step = 2.0 * abs_eb
 
-        if use_ae:
+        # --- candidate predictions, in flag order ---------------------------
+        latents = ae_pred = lorenzo_pred = mean_pred = None
+        if mode in ("hybrid", "ae"):
             latents, ae_pred = self._ae_predictions(blocks, latent_eb)
-            ae_loss = np.abs(blocks - ae_pred).mean(axis=block_axes)
-        else:
-            latents = ae_pred = None
-            ae_loss = np.full(n_blocks, np.inf)
-
-        if use_lorenzo:
+        if mode in ("hybrid", "lorenzo"):
             # Score Lorenzo from the 2e-grid (pre-quantized) values: that is what
             # the integer Lorenzo encoder actually predicts from, and it gives the
             # selection the same error-bound dependence as SZ's reconstructed-
             # neighbour prediction (the mechanism behind paper Fig. 10).
-            step = 2.0 * abs_eb
-            quantized_blocks = np.rint(blocks / step) * step
-            lorenzo_pred = _batched_lorenzo_predict(quantized_blocks)
-            lorenzo_loss = np.abs(blocks - lorenzo_pred).mean(axis=block_axes)
-        else:
-            lorenzo_loss = np.full(n_blocks, np.inf)
-
-        if use_lorenzo and self.config.use_mean_lorenzo:
-            means = blocks.mean(axis=block_axes)
-            mean_pred_err = np.abs(blocks - means.reshape((-1,) + (1,) * (blocks.ndim - 1)))
-            mean_loss = mean_pred_err.mean(axis=block_axes)
-        else:
-            means = None
-            mean_loss = np.full(n_blocks, np.inf)
-
-        losses = np.stack([ae_loss, lorenzo_loss, mean_loss], axis=1)
-        flags = np.argmin(losses, axis=1).astype(np.uint8)
-
-        ae_idx = np.nonzero(flags == FLAG_AE)[0]
-        lor_idx = np.nonzero(flags == FLAG_LORENZO)[0]
-        mean_idx = np.nonzero(flags == FLAG_MEAN)[0]
+            lorenzo_pred = _batched_lorenzo_predict(np.rint(blocks / step) * step)
+            if self.config.use_mean_lorenzo:
+                means = blocks.mean(axis=tuple(range(1, blocks.ndim)))
+                mean_pred = np.broadcast_to(
+                    means.reshape((-1,) + (1,) * (blocks.ndim - 1)), blocks.shape)
+        flags = select(blocks, [ae_pred, lorenzo_pred, mean_pred])
+        ae_idx, lor_idx, mean_idx = (np.flatnonzero(flags == flag)
+                                     for flag in (FLAG_AE, FLAG_LORENZO, FLAG_MEAN))
 
         container = ByteContainer()
-        step = 2.0 * abs_eb
-        section_bytes = {}
-
-        # --- AE-predicted blocks --------------------------------------------
         if ae_idx.size:
-            encoding = self.latent_codec.compress(latents[ae_idx], latent_eb)
-            container["latents"] = encoding.payload
-            qr = quantize_prediction_errors(blocks[ae_idx], ae_pred[ae_idx], abs_eb,
-                                            self.config.num_bins)
-            container["ae_codes"] = self._entropy.encode(qr.codes.ravel())
-            container["ae_unpred"] = self._backend.compress(
-                qr.unpredictable.astype(np.float64).tobytes())
-            section_bytes["latents"] = len(container["latents"])
-            section_bytes["ae_codes"] = len(container["ae_codes"])
+            container["latents"] = self.latent_codec.compress(latents[ae_idx], latent_eb).payload
+            self._put_residuals(container, "ae", blocks[ae_idx], ae_pred[ae_idx], abs_eb)
 
-        # --- Lorenzo-predicted blocks (integer dual-quantization) -------------
+        # Lorenzo blocks use integer dual-quantization: no residual class.
         lorenzo_offset = 0
         if lor_idx.size:
-            q_int = np.rint(blocks[lor_idx] / step).astype(np.int64)
-            diffs = _batched_lorenzo_transform(q_int)
+            diffs = _batched_lorenzo_transform(np.rint(blocks[lor_idx] / step).astype(np.int64))
             lorenzo_offset = int(diffs.min())
             container["lorenzo_codes"] = self._entropy.encode(diffs - lorenzo_offset)
-            section_bytes["lorenzo_codes"] = len(container["lorenzo_codes"])
 
-        # --- mean-predicted blocks --------------------------------------------
         if mean_idx.size:
-            sel_means = means[mean_idx]
-            pred = np.broadcast_to(
-                sel_means.reshape((-1,) + (1,) * (blocks.ndim - 1)), blocks[mean_idx].shape
-            )
-            qr_mean = quantize_prediction_errors(blocks[mean_idx], pred, abs_eb,
-                                                 self.config.num_bins)
-            container["mean_codes"] = self._entropy.encode(qr_mean.codes.ravel())
-            container["mean_unpred"] = self._backend.compress(
-                qr_mean.unpredictable.astype(np.float64).tobytes())
-            container["means"] = self._backend.compress(sel_means.astype(np.float64).tobytes())
-            section_bytes["mean_codes"] = len(container["mean_codes"])
+            self._put_residuals(container, "mean", blocks[mean_idx], mean_pred[mean_idx], abs_eb)
+            container["means"] = self._backend.compress(
+                means[mean_idx].astype(np.float64).tobytes())
 
         # --- header ------------------------------------------------------------
         container["flags"] = self._entropy.encode(flags.astype(np.int64))
@@ -351,14 +322,16 @@ class AESZCompressor(Compressor):
         payload = container.to_bytes()
 
         self.last_stats = CompressionStats(
-            n_blocks=n_blocks,
+            n_blocks=int(flags.size),
             n_ae_blocks=int(ae_idx.size),
             n_lorenzo_blocks=int(lor_idx.size),
             n_mean_blocks=int(mean_idx.size),
             compressed_bytes=len(payload),
             original_bytes=int(data.size * src_dtype.itemsize),
             original_dtype=str(src_dtype),
-            section_bytes=section_bytes,
+            section_bytes={name: len(container[name]) for name in
+                           ("latents", "ae_codes", "lorenzo_codes", "mean_codes")
+                           if name in container},
         )
         return payload
 
@@ -368,49 +341,35 @@ class AESZCompressor(Compressor):
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
-        abs_eb = float(meta["abs_error_bound"])
-        num_bins = int(meta["num_bins"])
-        step = 2.0 * abs_eb
-
-        flags = self._entropy.decode(container["flags"]).astype(np.uint8)
-        n_blocks = grid.n_blocks
-        if flags.size != n_blocks:
-            raise ValueError("corrupt stream: block flag count mismatch")
+        abs_eb, num_bins = float(meta["abs_error_bound"]), int(meta["num_bins"])
+        flags = checked_flags(self._entropy.decode(container["flags"]), grid.n_blocks, 3)
         block_shape = grid.block_shape
-        blocks = np.zeros((n_blocks,) + block_shape, dtype=np.float64)
-
-        ae_idx = np.nonzero(flags == FLAG_AE)[0]
-        lor_idx = np.nonzero(flags == FLAG_LORENZO)[0]
-        mean_idx = np.nonzero(flags == FLAG_MEAN)[0]
+        blocks = np.zeros((grid.n_blocks,) + block_shape, dtype=np.float64)
+        ae_idx, lor_idx, mean_idx = (np.flatnonzero(flags == flag)
+                                     for flag in (FLAG_AE, FLAG_LORENZO, FLAG_MEAN))
 
         if ae_idx.size:
             decoded_latents = self.latent_codec.decompress(container["latents"])
-            ae_pred = self.autoencoder.decode(decoded_latents)
-            codes = self._entropy.decode(container["ae_codes"]).reshape(
-                (ae_idx.size,) + block_shape)
-            unpred = np.frombuffer(self._backend.decompress(container["ae_unpred"]),
-                                   dtype=np.float64)
-            blocks[ae_idx] = dequantize_prediction_errors(codes, ae_pred, unpred, abs_eb,
-                                                          num_bins)
+            if decoded_latents.shape[0] != ae_idx.size:
+                raise ValueError("corrupt payload: latent rows do not match the AE blocks")
+            blocks[ae_idx] = self._get_residuals(
+                container, "ae", self.autoencoder.decode(decoded_latents), abs_eb, num_bins)
 
         if lor_idx.size:
-            diffs = self._entropy.decode(container["lorenzo_codes"]).reshape(
-                (lor_idx.size,) + block_shape) + int(meta["lorenzo_offset"])
-            q_int = _batched_lorenzo_inverse(diffs)
-            blocks[lor_idx] = q_int.astype(np.float64) * step
+            diffs = self._entropy.decode(container["lorenzo_codes"])
+            if diffs.size != lor_idx.size * int(np.prod(block_shape)):
+                raise ValueError("corrupt payload: Lorenzo code stream size mismatch")
+            q_int = _batched_lorenzo_inverse(
+                diffs.reshape((lor_idx.size,) + block_shape) + int(meta["lorenzo_offset"]))
+            blocks[lor_idx] = q_int.astype(np.float64) * (2.0 * abs_eb)
 
         if mean_idx.size:
-            sel_means = np.frombuffer(self._backend.decompress(container["means"]),
-                                      dtype=np.float64)
-            pred = np.broadcast_to(
-                sel_means.reshape((-1,) + (1,) * len(block_shape)),
-                (mean_idx.size,) + block_shape)
-            codes = self._entropy.decode(container["mean_codes"]).reshape(
-                (mean_idx.size,) + block_shape)
-            unpred = np.frombuffer(self._backend.decompress(container["mean_unpred"]),
-                                   dtype=np.float64)
-            blocks[mean_idx] = dequantize_prediction_errors(codes, pred, unpred, abs_eb,
-                                                            num_bins)
+            sel_means = float64_section(self._backend.decompress(container["means"]))
+            if sel_means.size != mean_idx.size:
+                raise ValueError("corrupt payload: block mean stream size mismatch")
+            pred = np.broadcast_to(sel_means.reshape((-1,) + (1,) * len(block_shape)),
+                                   (mean_idx.size,) + block_shape)
+            blocks[mean_idx] = self._get_residuals(container, "mean", pred, abs_eb, num_bins)
 
         out = reassemble_blocks(blocks, grid)
         return out.astype(np.dtype(meta.get("output_dtype", "float64")), copy=False)

@@ -56,6 +56,13 @@ def _design_matrix(shape: Sequence[int]) -> np.ndarray:
     return _design_matrix_cached(tuple(int(s) for s in shape))
 
 
+def hyperplanes(shape: Sequence[int], coef_rows: np.ndarray) -> np.ndarray:
+    """Each coefficient row's hyperplane on a ``shape`` block, ``(n_rows, *shape)``:
+    the one prediction expression, so encoder and decoder agree bit for bit."""
+    rows = np.asarray(coef_rows, dtype=np.float64).reshape(-1, len(shape) + 1, 1)
+    return np.matmul(_design_matrix(shape), rows).reshape((-1,) + tuple(shape))
+
+
 class LinearRegressionPredictor:
     """Least-squares hyperplane fit per block."""
 
@@ -67,9 +74,7 @@ class LinearRegressionPredictor:
         return RegressionCoefficients(values=coef)
 
     def predict(self, shape: Sequence[int], coefficients: RegressionCoefficients) -> np.ndarray:
-        design = _design_matrix(shape)
-        values = design @ np.asarray(coefficients.values, dtype=np.float64)
-        return values.reshape(tuple(shape))
+        return hyperplanes(shape, coefficients.values)[0]
 
     def fit_predict(self, block: np.ndarray,
                     error_bound: Optional[float] = None) -> Tuple[np.ndarray, RegressionCoefficients]:

@@ -116,9 +116,7 @@ def dequantize_prediction_errors(
     n_unpred = int(mask.sum())
     unpredictable = np.asarray(unpredictable, dtype=np.float64).ravel()
     if n_unpred != unpredictable.size:
-        raise ValueError(
-            f"expected {n_unpred} unpredictable values, got {unpredictable.size}"
-        )
+        raise ValueError("corrupt payload: unpredictable-value stream size mismatch")
     if n_unpred:
         reconstructed[mask] = unpredictable
     return reconstructed

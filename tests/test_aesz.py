@@ -1,5 +1,7 @@
 """Tests for the AE-SZ compressor core (config, latent codec, pipeline)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core import (
 )
 from repro.core.aesz import FLAG_AE, FLAG_LORENZO, FLAG_MEAN
 from repro.core.config import PAPER_TABLE_VI
+from repro.encoding.container import ByteContainer
 from repro.metrics import psnr, verify_error_bound
 from repro.predictors import (
     lorenzo_inverse_transform,
@@ -349,3 +352,214 @@ class TestHugeQuantizationCodes:
         payload = comp.compress(data, 1e-12)
         recon = comp.decompress(payload)
         assert verify_error_bound(data, recon, 1e-12) is None
+
+
+class _MeanPoolAutoencoder:
+    """Deterministic stand-in autoencoder for pinning AE-SZ's bytes.
+
+    The latent is the means of the 2x2(x2) sub-blocks and decode upsamples
+    them back.  Both directions are elementwise NumPy, so no BLAS call sits
+    between the input field and the payload bytes.
+    """
+
+    def __init__(self, ndim: int, block_size: int):
+        self.ndim = ndim
+        self.config = AutoencoderConfig(ndim=ndim, block_size=block_size,
+                                        latent_size=(block_size // 2) ** ndim,
+                                        channels=(1,))
+
+    def encode(self, blocks):
+        pairs = blocks.reshape((blocks.shape[0],) + (self.config.block_size // 2, 2) * self.ndim)
+        return pairs.mean(axis=tuple(range(2, 2 + 2 * self.ndim, 2))).reshape(
+            blocks.shape[0], -1)
+
+    def decode(self, latents):
+        out = latents.reshape((latents.shape[0],) + (self.config.block_size // 2,) * self.ndim)
+        for axis in range(1, self.ndim + 1):
+            out = np.repeat(out, 2, axis=axis)
+        return out
+
+
+def _three_class_field(ndim: int, block_size: int, n_per_axis: int) -> np.ndarray:
+    """Blocks cycling through 2x2-piecewise-constant (the stand-in AE's home),
+    linear ramps (Lorenzo's) and constants (the block mean's), with one
+    outlier per non-ramp block that is unpredictable at the tight bound
+    with 64 bins."""
+    rng = np.random.default_rng(ndim)
+    out = np.empty((block_size * n_per_axis,) * ndim)
+    ramp_grids = np.meshgrid(*[np.arange(block_size)] * ndim, indexing="ij")
+    for idx in np.ndindex(*(n_per_axis,) * ndim):
+        kind = sum(idx) % 3
+        if kind == 0:
+            block = rng.normal(size=(block_size // 2,) * ndim)
+            for axis in range(ndim):
+                block = np.repeat(block, 2, axis=axis)
+            block = block + 1e-3 * rng.normal(size=block.shape)
+        elif kind == 1:
+            block = sum(g * rng.uniform(0.05, 0.2) for g in ramp_grids) + rng.normal()
+        else:
+            block = np.full((block_size,) * ndim, rng.normal())
+        if kind != 1:
+            block.flat[rng.integers(block.size)] += 0.5
+        out[tuple(slice(i * block_size, (i + 1) * block_size) for i in idx)] = block
+    return out
+
+
+# sha256 of AE-SZ payloads: (ndim, predictor_mode, use_mean_lorenzo, bound).
+_PINNED_AESZ_DIGESTS = {
+    (2, "hybrid", True, 0.01):
+        "721529b91d96154192450228ed55e6b82221c2b30b679fb886b8514120fe5769",
+    (2, "hybrid", True, 0.0001):
+        "f32bfb4df6c04705e765a7cfb7dfcb22a9980ae394529db9de64684dcc5e4bdf",
+    (2, "hybrid", False, 0.01):
+        "a662cbede19cacbb777a52b013f7fc59366ae11ee813b520d97771958463f09c",
+    (2, "hybrid", False, 0.0001):
+        "f32bfb4df6c04705e765a7cfb7dfcb22a9980ae394529db9de64684dcc5e4bdf",
+    (2, "ae", True, 0.01):
+        "cff4a929db4185467d5fe5a0f7a2877da42a1b3e3dc1a73c8028af7c0ce7d045",
+    (2, "ae", True, 0.0001):
+        "2695bf98ad92ee57e915204eb4c81abca7b9326a560dcc8f46f6016c99600a0d",
+    (2, "ae", False, 0.01):
+        "cff4a929db4185467d5fe5a0f7a2877da42a1b3e3dc1a73c8028af7c0ce7d045",
+    (2, "ae", False, 0.0001):
+        "2695bf98ad92ee57e915204eb4c81abca7b9326a560dcc8f46f6016c99600a0d",
+    (2, "lorenzo", True, 0.01):
+        "dee3257e91c7bbc0d0707194cc4853b9317e10035708c0a5b1ab254873160d1b",
+    (2, "lorenzo", True, 0.0001):
+        "377cc24939eaa5454e371c10e86d61b528f98c223e23c0571a80f544d039a0b8",
+    (2, "lorenzo", False, 0.01):
+        "790b89e08d0c41f335d99b724c543d81cfe140eaf5a6a545a84c4a478c991e25",
+    (2, "lorenzo", False, 0.0001):
+        "6e2ed47e1fedacdb8714ebd0459bbb5087376d5c41c96ae5203c1d29afb750ed",
+    (3, "hybrid", True, 0.01):
+        "56b61ee84bca554a53e928455f6cf4c22b0168dcdc70959f6604c2741f51afc9",
+    (3, "hybrid", True, 0.0001):
+        "d4d06e6413e27f33b6f55bef03e2bec68704580ca294f08297a26c79c46a622f",
+    (3, "hybrid", False, 0.01):
+        "abb09f2c264a129308570d23e3aef04f0176acfb363959856fe8113ee2c6c14a",
+    (3, "hybrid", False, 0.0001):
+        "d4d06e6413e27f33b6f55bef03e2bec68704580ca294f08297a26c79c46a622f",
+    (3, "ae", True, 0.01):
+        "13f25a8c66be3f566742821ce8856eb4249717a8f40ccde558576f29bb7d5219",
+    (3, "ae", True, 0.0001):
+        "0096fba98d6eefbbb1d0c86d4e106de585b847d192511992f39b88838181e06c",
+    (3, "ae", False, 0.01):
+        "13f25a8c66be3f566742821ce8856eb4249717a8f40ccde558576f29bb7d5219",
+    (3, "ae", False, 0.0001):
+        "0096fba98d6eefbbb1d0c86d4e106de585b847d192511992f39b88838181e06c",
+    (3, "lorenzo", True, 0.01):
+        "e182f7762cef077c969e603d3475795375fe6ff98980597ba0d33c6485b92f9f",
+    (3, "lorenzo", True, 0.0001):
+        "66ed3281208c4e1de9069e673375800ea40d4cbc931ea101062ede6d86d5f756",
+    (3, "lorenzo", False, 0.01):
+        "b3f391f436817230f9e12bfd695ecc073eed3de2ec5995a1e7671af91c7d3c29",
+    (3, "lorenzo", False, 0.0001):
+        "6261b3f4e882004ab68423d77f3b1d84f6519ed3e3381360f41fb632db461039",
+}
+
+
+class TestPinnedEncodeBytes:
+    """AE-SZ's encode bytes, pinned over predictor mode x mean-Lorenzo x bound
+    for a 2-D and a 3-D field (the goldens only decode one AE-SZ archive)."""
+
+    CASES = [(2, 8, 4), (3, 4, 3)]  # (ndim, block size, blocks per axis)
+
+    def test_payload_digests(self):
+        seen = {"ae": 0, "lorenzo": 0, "mean": 0}
+        digests = {}
+        for ndim, block_size, n_per_axis in self.CASES:
+            data = _three_class_field(ndim, block_size, n_per_axis)
+            for mode in ("hybrid", "ae", "lorenzo"):
+                for use_mean in (True, False):
+                    for bound in (1e-2, 1e-4):
+                        comp = AESZCompressor(
+                            _MeanPoolAutoencoder(ndim, block_size),
+                            AESZConfig(block_size=block_size, predictor_mode=mode,
+                                       use_mean_lorenzo=use_mean, num_bins=64))
+                        payload = comp.compress(data, bound)
+                        assert verify_error_bound(data, comp.decompress(payload), bound) is None
+                        digests[(ndim, mode, use_mean, bound)] = hashlib.sha256(
+                            payload).hexdigest()
+                        stats = comp.last_stats
+                        seen["ae"] += stats.n_ae_blocks
+                        seen["lorenzo"] += stats.n_lorenzo_blocks
+                        seen["mean"] += stats.n_mean_blocks
+        assert min(seen.values()) > 0, seen
+        assert digests == _PINNED_AESZ_DIGESTS
+
+
+def _set_first(value):
+    def edit(symbols):
+        symbols = symbols.copy()
+        symbols[0] = value
+        return symbols
+    return edit
+
+
+def _ragged(values: np.ndarray) -> np.ndarray:
+    """A float64 section's bytes plus one: no longer a whole number of floats."""
+    return np.append(values.view(np.uint8), np.uint8(7))
+
+
+class TestCorruptPayload:
+    """Damaged AE-SZ sections raise ``corrupt payload`` instead of decoding to
+    wrong values or failing inside numpy.  Each case re-encodes one section
+    through the codec's own coders, so only the content is damaged."""
+
+    @pytest.fixture(scope="class")
+    def compressed(self):
+        comp = AESZCompressor(_MeanPoolAutoencoder(2, 8),
+                              AESZConfig(block_size=8, num_bins=64))
+        payload = comp.compress(_three_class_field(2, 8, 4), 1e-2)
+        stats = comp.last_stats
+        assert min(stats.n_ae_blocks, stats.n_lorenzo_blocks, stats.n_mean_blocks) > 0
+        return comp, payload
+
+    @staticmethod
+    def _tampered(comp, payload, section, edit):
+        container = ByteContainer.from_bytes(payload)
+        if section == "latents":
+            rows = comp.latent_codec.decompress(container[section])
+            bound = container.get_json("meta")["latent_error_bound"]
+            container[section] = comp.latent_codec.compress(edit(rows), bound).payload
+        elif section in ("means", "ae_unpred", "mean_unpred"):
+            values = np.frombuffer(comp._backend.decompress(container[section]),
+                                   dtype=np.float64)
+            container[section] = comp._backend.compress(edit(values).tobytes())
+        else:
+            container[section] = comp._entropy.encode(
+                edit(comp._entropy.decode(container[section])))
+        return container.to_bytes()
+
+    @pytest.mark.parametrize("section,edit,message", [
+        pytest.param("flags", lambda f: f[:-1],
+                     "stream sizes do not match the block grid", id="flags-short"),
+        pytest.param("flags", _set_first(3),
+                     "unknown block predictor flag", id="flags-unknown"),
+        pytest.param("ae_codes", _set_first(10 ** 12),
+                     "quantization code out of range", id="ae_codes-range"),
+        pytest.param("ae_codes", lambda c: c[:-3],
+                     "stream sizes do not match the block grid", id="ae_codes-short"),
+        pytest.param("ae_unpred", lambda u: np.append(u, 0.0),
+                     "unpredictable-value stream size mismatch", id="ae_unpred-extra"),
+        pytest.param("mean_codes", _set_first(10 ** 12),
+                     "quantization code out of range", id="mean_codes-range"),
+        pytest.param("mean_codes", lambda c: c[:-3],
+                     "stream sizes do not match the block grid", id="mean_codes-short"),
+        pytest.param("lorenzo_codes", lambda c: c[:-3],
+                     "Lorenzo code stream size mismatch", id="lorenzo_codes-short"),
+        pytest.param("latents", lambda rows: rows[:-2],
+                     "latent rows do not match the AE blocks", id="latents-short"),
+        pytest.param("means", lambda m: np.append(m, 1.0),
+                     "block mean stream size mismatch", id="means-extra"),
+        pytest.param("means", _ragged, "float64 section length", id="means-ragged"),
+        pytest.param("ae_unpred", _ragged, "float64 section length", id="ae_unpred-ragged"),
+        pytest.param("mean_unpred", _ragged, "float64 section length", id="mean_unpred-ragged"),
+    ])
+    def test_damaged_section_raises_corrupt(self, compressed, section, edit, message):
+        comp, payload = compressed
+        np.testing.assert_array_equal(comp.decompress(payload),
+                                      comp.decompress(self._tampered(comp, payload, section,
+                                                                     lambda x: x)))
+        with pytest.raises(ValueError, match="corrupt payload: " + message):
+            comp.decompress(self._tampered(comp, payload, section, edit))

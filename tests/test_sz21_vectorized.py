@@ -26,14 +26,19 @@ from repro.compressors.sz21 import (
     SZ21Compressor,
     _lorenzo_decode_blocks,
     _lorenzo_encode_blocks,
-    _lorenzo_predict_blocks,
 )
 from repro.compressors.szinterp import SZInterpCompressor
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
 from repro.encoding.huffman import HuffmanCodec, _pack_codes
 from repro.predictors.interpolation import multilevel_interpolation_encode
-from repro.predictors.lorenzo import lorenzo_predict
+from repro.predictors.lorenzo import _batched_lorenzo_predict, lorenzo_predict
+from repro.predictors.regression import (
+    LinearRegressionPredictor,
+    RegressionCoefficients,
+    _design_matrix,
+    hyperplanes,
+)
 from repro.quantization.linear import UNPREDICTABLE_CODE
 
 # The extreme-range cases once overflowed a float -> int64 cast in the
@@ -139,6 +144,37 @@ def test_truncated_coefficient_stream_raises():
     container["coefs"] = comp._backend.compress(coefs[:-1].tobytes())
     with pytest.raises(ValueError, match="corrupt payload: regression coefficient"):
         comp.decompress(container.to_bytes())
+
+
+@pytest.mark.parametrize("section", ["unpred", "coefs"])
+def test_ragged_float64_section_raises(section):
+    """A float64 section whose length is not a multiple of 8 is corrupt, not
+    a numpy buffer error."""
+    comp = SZ21Compressor(num_bins=16)
+    data = (np.add.outer(np.linspace(0, 10, 64), np.linspace(0, 5, 64))
+            + 0.01 * np.random.default_rng(2).standard_normal((64, 64)))
+    container = ByteContainer.from_bytes(comp.compress(data, 1e-4))
+    container[section] = comp._backend.compress(
+        comp._backend.decompress(container[section]) + b"\x00" * 3)
+    with pytest.raises(ValueError, match="corrupt payload: float64 section length"):
+        comp.decompress(container.to_bytes())
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8), (5,), (6, 9), (4, 3, 5)])
+def test_batched_hyperplanes_equal_per_block_prediction_bit_for_bit(shape):
+    """The decoder predicts all regression blocks with one batched
+    ``hyperplanes`` call; each row must equal the per-block ``design @ coef``
+    product the golden archives were written with, and ``predict``."""
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    rows = rng.normal(size=(300, len(shape) + 1)) * 10.0 ** rng.integers(-6, 7, size=(300, 1))
+    rows[::3] = np.rint(rows[::3] / 1e-4) * 1e-4  # quantized rows, as the encoder stores
+    batched = hyperplanes(shape, rows)
+    design = _design_matrix(shape)
+    for row, pred in zip(rows, batched):
+        assert _bitwise_equal(pred, (design @ row).reshape(shape))
+        assert _bitwise_equal(pred, LinearRegressionPredictor().predict(
+            shape, RegressionCoefficients(row)))
+    assert _bitwise_equal(hyperplanes(shape, rows[7]), batched[7:8])
 
 
 def _recoded(comp, payload: bytes, section: str, edit) -> bytes:
@@ -253,7 +289,7 @@ def test_batched_lorenzo_predict_bit_exact():
     for shape in [(16,), (16, 16), (8, 8, 8), (1, 1), (3, 5, 7)]:
         batch = rng.standard_normal((6,) + shape).cumsum(axis=0)
         ref = np.stack([lorenzo_predict(b) for b in batch])
-        assert _bitwise_equal(_lorenzo_predict_blocks(batch), ref)
+        assert _bitwise_equal(_batched_lorenzo_predict(batch), ref)
 
 
 @pytest.mark.parametrize("shape", [
