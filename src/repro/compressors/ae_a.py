@@ -18,6 +18,7 @@ from repro.autoencoders.ae_a import FullyConnectedAutoencoder
 from repro.compressors.base import Compressor
 from repro.compressors.sz21 import SZ21Compressor
 from repro.encoding.container import ByteContainer
+from repro.encoding.entropy import float_section
 from repro.nn.serialization import (
     dump_model_blob,
     fingerprint_with_norm,
@@ -110,11 +111,9 @@ class AEACompressor(Compressor):
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         shape = tuple(meta["shape"])
-        n_segments = int(meta["n_segments"])
-        latent_size = self.autoencoder.config.latent_size
-        latents = np.frombuffer(container["latents"], dtype=np.float32).astype(np.float64)
-        latents = latents.reshape(n_segments, latent_size)
-        ae_recon = self.autoencoder.decode(latents)
+        latents = float_section(container["latents"], np.float32,
+                                (int(meta["n_segments"]), self.autoencoder.config.latent_size))
+        ae_recon = self.autoencoder.decode(latents.astype(np.float64))
         n_points = int(np.prod(shape))
         flat_recon = ae_recon.ravel()[:n_points].reshape(shape)
         residual = self._residual_compressor.decompress(container["residual"])

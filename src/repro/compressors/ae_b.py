@@ -16,6 +16,7 @@ from repro.autoencoders.ae_b import ResidualConvAutoencoder
 from repro.compressors.base import Compressor
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
 from repro.encoding.container import ByteContainer
+from repro.encoding.entropy import float_section
 from repro.nn.serialization import (
     dump_model_blob,
     fingerprint_with_norm,
@@ -90,7 +91,6 @@ class AEBCompressor(Compressor):
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
-        latent_size = int(meta["latent_size"])
-        latents = np.frombuffer(container["latents"], dtype=np.float32).astype(np.float64)
-        latents = latents.reshape(grid.n_blocks, latent_size)
-        return reassemble_blocks(self.autoencoder.decode(latents), grid)
+        latents = float_section(container["latents"], np.float32,
+                                (grid.n_blocks, int(meta["latent_size"])))
+        return reassemble_blocks(self.autoencoder.decode(latents.astype(np.float64)), grid)

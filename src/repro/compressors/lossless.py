@@ -6,9 +6,8 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.encoding.container import ByteContainer
-from repro.encoding.lossless import get_backend
+from repro.encoding.entropy import EntropyCodec
 from repro.registry import register_compressor
-from repro.utils.validation import ensure_float_array
 
 
 @register_compressor("lossless", aliases=("zlib",), exact=True,
@@ -20,7 +19,7 @@ class LosslessCompressor(Compressor):
 
     def __init__(self, backend: str = "zlib"):
         self.backend = str(backend)
-        self._backend = get_backend(backend)
+        self._entropy = EntropyCodec(backend)
 
     def archive_options(self) -> dict:
         return {"backend": self.backend}
@@ -29,11 +28,10 @@ class LosslessCompressor(Compressor):
         data = np.asarray(data)
         container = ByteContainer()
         container.put_json("meta", {"shape": list(data.shape), "dtype": data.dtype.str})
-        container["raw"] = self._backend.compress(np.ascontiguousarray(data).tobytes())
+        container["raw"] = self._entropy.encode_floats(data, data.dtype)
         return container.to_bytes()
 
     def decompress(self, payload: bytes) -> np.ndarray:
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
-        raw = self._backend.decompress(container["raw"])
-        return np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).reshape(meta["shape"]).copy()
+        return self._entropy.decode_floats(container["raw"], meta["dtype"], meta["shape"]).copy()

@@ -31,8 +31,7 @@ from repro.compressors.base import Compressor
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
-from repro.encoding.lossless import get_backend
-from repro.predictors.blockwise import checked_codes, checked_flags, decode_residuals, float64_section, select
+from repro.predictors.blockwise import checked_codes, checked_flags, decode_residuals, select
 from repro.predictors.lorenzo import _batched_lorenzo_predict, _hyperplane_predictions
 from repro.predictors.regression import LinearRegressionPredictor, hyperplanes
 from repro.quantization.linear import UNPREDICTABLE_CODE, quantize_prediction_errors
@@ -113,8 +112,7 @@ class SZ21Compressor(Compressor):
         self.block_size_3d = int(block_size_3d)
         self.num_bins = int(num_bins)
         self.lossless_backend = str(lossless_backend)
-        self._entropy = EntropyCodec(backend=get_backend(lossless_backend))
-        self._backend = get_backend(lossless_backend)
+        self._entropy = EntropyCodec(lossless_backend)
         self._regression = LinearRegressionPredictor()
 
     def archive_options(self) -> dict:
@@ -189,10 +187,9 @@ class SZ21Compressor(Compressor):
         })
         container["flags"] = self._entropy.encode(flags.astype(np.int64))
         container["codes"] = self._entropy.encode(codes)
-        container["unpred"] = self._backend.compress(unpred_arr.tobytes())
+        container["unpred"] = self._entropy.encode_floats(unpred_arr)
         if coefs is not None:
-            container["coefs"] = self._backend.compress(
-                coefs.astype(np.float64).tobytes())
+            container["coefs"] = self._entropy.encode_floats(coefs)
         return container.to_bytes()
 
     # --------------------------------------------------------------- decompress
@@ -205,8 +202,8 @@ class SZ21Compressor(Compressor):
         shape = (grid.n_blocks,) + block_shape
         flags = checked_flags(self._entropy.decode(container["flags"]), grid.n_blocks, 2)
         codes = checked_codes(self._entropy.decode(container["codes"]), shape, num_bins)
-        unpred = float64_section(self._backend.decompress(container["unpred"]))
-        coefs = (float64_section(self._backend.decompress(container["coefs"]))
+        unpred = self._entropy.decode_floats(container["unpred"])
+        coefs = (self._entropy.decode_floats(container["coefs"])
                  if "coefs" in container else np.zeros(0))
 
         reg = flags == FLAG_REGRESSION

@@ -21,7 +21,6 @@ import numpy as np
 from repro.compressors.base import Compressor
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
-from repro.encoding.lossless import get_backend
 from repro.predictors.lorenzo import (
     lorenzo_inverse_transform,
     lorenzo_transform,
@@ -52,7 +51,7 @@ class SZAutoCompressor(Compressor):
         if not (0 < sample_fraction <= 1):
             raise ValueError("sample_fraction must be in (0, 1]")
         self.lossless_backend = str(lossless_backend)
-        self._entropy = EntropyCodec(backend=get_backend(lossless_backend))
+        self._entropy = EntropyCodec(lossless_backend)
         self.sample_fraction = float(sample_fraction)
 
     def archive_options(self) -> dict:
@@ -71,8 +70,7 @@ class SZAutoCompressor(Compressor):
         n_sample = max(1, int(self.sample_fraction * q.size))
         idx = np.linspace(0, q.size - 1, n_sample).astype(np.int64)
         order = 1 if _code_entropy(first.ravel()[idx]) <= _code_entropy(second.ravel()[idx]) else 2
-        diffs = first if order == 1 else second
-        offset = int(diffs.min())
+        offset, stream = self._entropy.encode_shifted(first if order == 1 else second)
 
         container = ByteContainer()
         container.put_json("meta", {
@@ -82,7 +80,7 @@ class SZAutoCompressor(Compressor):
             "order": order,
             "offset": offset,
         })
-        container["codes"] = self._entropy.encode(diffs - offset)
+        container["codes"] = stream
         return container.to_bytes()
 
     def decompress(self, payload: bytes) -> np.ndarray:
@@ -91,8 +89,7 @@ class SZAutoCompressor(Compressor):
         shape = tuple(meta["shape"])
         abs_eb = float(meta["abs_error_bound"])
         order = int(meta["order"])
-        offset = int(meta["offset"])
 
-        diffs = self._entropy.decode(container["codes"]).reshape(shape) + offset
+        diffs = self._entropy.decode_shifted(container["codes"], meta["offset"], shape)
         q = lorenzo_inverse_transform(diffs) if order == 1 else second_order_lorenzo_inverse(diffs)
         return UniformQuantizer(abs_eb).dequantize(q)

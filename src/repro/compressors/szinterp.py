@@ -14,7 +14,6 @@ import numpy as np
 from repro.compressors.base import Compressor
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
-from repro.encoding.lossless import get_backend
 from repro.predictors.interpolation import (
     multilevel_interpolation_decode,
     multilevel_interpolation_encode,
@@ -32,8 +31,7 @@ class SZInterpCompressor(Compressor):
     def __init__(self, num_bins: int = 65536, lossless_backend: str = "zlib"):
         self.num_bins = int(num_bins)
         self.lossless_backend = str(lossless_backend)
-        self._entropy = EntropyCodec(backend=get_backend(lossless_backend))
-        self._backend = get_backend(lossless_backend)
+        self._entropy = EntropyCodec(lossless_backend)
 
     def archive_options(self) -> dict:
         return {"num_bins": self.num_bins, "lossless_backend": self.lossless_backend}
@@ -42,7 +40,7 @@ class SZInterpCompressor(Compressor):
         data, abs_eb = self._checked_input(data, rel_error_bound)
 
         enc = multilevel_interpolation_encode(data, abs_eb, self.num_bins)
-        anchor_offset = int(enc.anchor_codes.min()) if enc.anchor_codes.size else 0
+        anchor_offset, anchors = self._entropy.encode_shifted(enc.anchor_codes)
 
         container = ByteContainer()
         container.put_json("meta", {
@@ -53,10 +51,9 @@ class SZInterpCompressor(Compressor):
             "anchor_offset": anchor_offset,
             "anchor_shape": list(enc.anchor_codes.shape),
         })
-        container["anchors"] = self._entropy.encode(enc.anchor_codes - anchor_offset)
+        container["anchors"] = anchors
         container["codes"] = self._entropy.encode(enc.codes)
-        container["unpred"] = self._backend.compress(
-            enc.unpredictable.astype(np.float64).tobytes())
+        container["unpred"] = self._entropy.encode_floats(enc.unpredictable)
         return container.to_bytes()
 
     def decompress(self, payload: bytes) -> np.ndarray:
@@ -64,12 +61,9 @@ class SZInterpCompressor(Compressor):
         meta = container.get_json("meta")
         shape = tuple(meta["shape"])
         abs_eb = float(meta["abs_error_bound"])
-        anchor_shape = tuple(meta["anchor_shape"])
-        anchors = self._entropy.decode(container["anchors"])
-        if anchors.size != int(np.prod(anchor_shape)):
-            raise ValueError("corrupt payload: anchor stream size mismatch")
-        anchors = anchors.reshape(anchor_shape) + int(meta["anchor_offset"])
+        anchors = self._entropy.decode_shifted(container["anchors"], meta["anchor_offset"],
+                                               meta["anchor_shape"])
         codes = self._entropy.decode(container["codes"])
-        unpred = np.frombuffer(self._backend.decompress(container["unpred"]), dtype=np.float64)
+        unpred = self._entropy.decode_floats(container["unpred"])
         return multilevel_interpolation_decode(anchors, codes, unpred, shape, abs_eb,
                                                int(meta["num_bins"]))

@@ -29,7 +29,6 @@ from repro.compressors.base import Compressor
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
-from repro.encoding.lossless import get_backend
 from repro.registry import register_compressor
 
 BLOCK_EDGE = 4
@@ -79,8 +78,7 @@ class ZFPCompressor(Compressor):
 
     def __init__(self, lossless_backend: str = "zlib"):
         self.lossless_backend = str(lossless_backend)
-        self._entropy = EntropyCodec(backend=get_backend(lossless_backend))
-        self._backend = get_backend(lossless_backend)
+        self._entropy = EntropyCodec(lossless_backend)
 
     def archive_options(self) -> dict:
         return {"lossless_backend": self.lossless_backend}
@@ -92,8 +90,7 @@ class ZFPCompressor(Compressor):
         coeffs = _forward_transform(blocks)
         # Quantization step guaranteeing |reconstruction error| <= abs_eb.
         step = 2.0 * abs_eb / _linf_gain(data.ndim)
-        codes = np.rint(coeffs / step).astype(np.int64)
-        offset = int(codes.min()) if codes.size else 0
+        offset, stream = self._entropy.encode_shifted(np.rint(coeffs / step).astype(np.int64))
 
         container = ByteContainer()
         container.put_json("meta", {
@@ -103,17 +100,15 @@ class ZFPCompressor(Compressor):
             "step": float(step),
             "offset": offset,
         })
-        container["codes"] = self._entropy.encode(codes - offset)
+        container["codes"] = stream
         return container.to_bytes()
 
     def decompress(self, payload: bytes) -> np.ndarray:
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
-        step = float(meta["step"])
-        offset = int(meta["offset"])
-        codes = self._entropy.decode(container["codes"]).reshape(
-            (grid.n_blocks,) + grid.block_shape) + offset
-        coeffs = codes.astype(np.float64) * step
+        codes = self._entropy.decode_shifted(container["codes"], meta["offset"],
+                                             (grid.n_blocks,) + grid.block_shape)
+        coeffs = codes.astype(np.float64) * float(meta["step"])
         blocks = _inverse_transform(coeffs)
         return reassemble_blocks(blocks, grid)

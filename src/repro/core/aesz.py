@@ -31,14 +31,13 @@ from repro.core.config import AESZConfig
 from repro.core.latent_codec import LatentCodec
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
-from repro.encoding.lossless import get_backend
 from repro.nn.serialization import (
     dump_model_blob,
     fingerprint_with_norm,
     restore_archived_model,
 )
 from repro.nn.training import TrainingConfig, fit_autoencoder
-from repro.predictors.blockwise import checked_flags, decode_residuals, float64_section, select
+from repro.predictors.blockwise import checked_flags, decode_residuals, select
 from repro.predictors.lorenzo import (
     _batched_lorenzo_inverse,
     _batched_lorenzo_predict,
@@ -144,8 +143,7 @@ class AESZCompressor(Compressor):
                 f"autoencoder block size {autoencoder.config.block_size}"
             )
         self.latent_codec = LatentCodec(self.config.lossless_backend)
-        self._entropy = EntropyCodec(backend=get_backend(self.config.lossless_backend))
-        self._backend = get_backend(self.config.lossless_backend)
+        self._entropy = EntropyCodec(self.config.lossless_backend)
         self.last_stats: Optional[CompressionStats] = None
         self.model_ref = model_ref
 
@@ -236,13 +234,12 @@ class AESZCompressor(Compressor):
         """Quantize one predictor class into ``<name>_codes`` / ``<name>_unpred``."""
         qr = quantize_prediction_errors(blocks, pred, abs_eb, self.config.num_bins)
         container[f"{name}_codes"] = self._entropy.encode(qr.codes.ravel())
-        container[f"{name}_unpred"] = self._backend.compress(
-            qr.unpredictable.astype(np.float64).tobytes())
+        container[f"{name}_unpred"] = self._entropy.encode_floats(qr.unpredictable)
 
     def _get_residuals(self, container: ByteContainer, name: str, pred: np.ndarray,
                        abs_eb: float, num_bins: int) -> np.ndarray:
         """Checked inverse of :meth:`_put_residuals` against the same ``pred``."""
-        literals = float64_section(self._backend.decompress(container[f"{name}_unpred"]))
+        literals = self._entropy.decode_floats(container[f"{name}_unpred"])
         return decode_residuals(self._entropy.decode(container[f"{name}_codes"]), pred,
                                 literals, abs_eb, num_bins)
 
@@ -294,13 +291,11 @@ class AESZCompressor(Compressor):
         lorenzo_offset = 0
         if lor_idx.size:
             diffs = _batched_lorenzo_transform(np.rint(blocks[lor_idx] / step).astype(np.int64))
-            lorenzo_offset = int(diffs.min())
-            container["lorenzo_codes"] = self._entropy.encode(diffs - lorenzo_offset)
+            lorenzo_offset, container["lorenzo_codes"] = self._entropy.encode_shifted(diffs)
 
         if mean_idx.size:
             self._put_residuals(container, "mean", blocks[mean_idx], mean_pred[mean_idx], abs_eb)
-            container["means"] = self._backend.compress(
-                means[mean_idx].astype(np.float64).tobytes())
+            container["means"] = self._entropy.encode_floats(means[mean_idx])
 
         # --- header ------------------------------------------------------------
         container["flags"] = self._entropy.encode(flags.astype(np.int64))
@@ -350,25 +345,23 @@ class AESZCompressor(Compressor):
 
         if ae_idx.size:
             decoded_latents = self.latent_codec.decompress(container["latents"])
-            if decoded_latents.shape[0] != ae_idx.size:
+            if decoded_latents.shape[:1] != (ae_idx.size,):
                 raise ValueError("corrupt payload: latent rows do not match the AE blocks")
+            if decoded_latents.shape[1:] != (self.autoencoder.config.latent_size,):
+                raise ValueError("corrupt payload: latent width does not match the autoencoder")
             blocks[ae_idx] = self._get_residuals(
                 container, "ae", self.autoencoder.decode(decoded_latents), abs_eb, num_bins)
 
         if lor_idx.size:
-            diffs = self._entropy.decode(container["lorenzo_codes"])
-            if diffs.size != lor_idx.size * int(np.prod(block_shape)):
-                raise ValueError("corrupt payload: Lorenzo code stream size mismatch")
-            q_int = _batched_lorenzo_inverse(
-                diffs.reshape((lor_idx.size,) + block_shape) + int(meta["lorenzo_offset"]))
+            q_int = _batched_lorenzo_inverse(self._entropy.decode_shifted(
+                container["lorenzo_codes"], meta["lorenzo_offset"],
+                (lor_idx.size,) + block_shape))
             blocks[lor_idx] = q_int.astype(np.float64) * (2.0 * abs_eb)
 
         if mean_idx.size:
-            sel_means = float64_section(self._backend.decompress(container["means"]))
-            if sel_means.size != mean_idx.size:
-                raise ValueError("corrupt payload: block mean stream size mismatch")
-            pred = np.broadcast_to(sel_means.reshape((-1,) + (1,) * len(block_shape)),
-                                   (mean_idx.size,) + block_shape)
+            sel_means = self._entropy.decode_floats(
+                container["means"], shape=(mean_idx.size,) + (1,) * len(block_shape))
+            pred = np.broadcast_to(sel_means, (mean_idx.size,) + block_shape)
             blocks[mean_idx] = self._get_residuals(container, "mean", pred, abs_eb, num_bins)
 
         out = reassemble_blocks(blocks, grid)

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.encoding.container import ByteContainer
 from repro.encoding.entropy import EntropyCodec
-from repro.encoding.lossless import get_backend
 from repro.quantization.uniform import UniformQuantizer
 from repro.utils.validation import ensure_positive
 
@@ -37,7 +36,7 @@ class LatentCodec:
     """Uniform quantization + entropy coding of latent matrices."""
 
     def __init__(self, lossless_backend: str = "zlib"):
-        self._entropy = EntropyCodec(backend=get_backend(lossless_backend))
+        self._entropy = EntropyCodec(lossless_backend)
 
     def compress(self, latents: np.ndarray, error_bound: float) -> LatentEncoding:
         """Compress a ``(n_blocks, latent_size)`` float matrix.
@@ -52,8 +51,7 @@ class LatentCodec:
 
         quantizer = UniformQuantizer(error_bound)
         codes, decoded = quantizer.roundtrip(latents)
-        offset = int(codes.min()) if codes.size else 0
-        shifted = codes - offset
+        offset, stream = self._entropy.encode_shifted(codes)
 
         container = ByteContainer()
         container.put_json("meta", {
@@ -61,7 +59,7 @@ class LatentCodec:
             "error_bound": float(error_bound),
             "offset": offset,
         })
-        container["codes"] = self._entropy.encode(shifted)
+        container["codes"] = stream
         return LatentEncoding(payload=container.to_bytes(), decoded=decoded)
 
     def decompress(self, payload: bytes) -> np.ndarray:
@@ -72,12 +70,5 @@ class LatentCodec:
         """
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
-        shape = tuple(meta["shape"])
-        error_bound = float(meta["error_bound"])
-        offset = int(meta["offset"])
-        codes = self._entropy.decode(container["codes"])
-        if codes.size != int(np.prod(shape)):
-            raise ValueError("corrupt latent stream: code count "
-                             f"{codes.size} does not match shape {shape}")
-        codes = codes.reshape(shape) + offset
-        return UniformQuantizer(error_bound).dequantize(codes)
+        codes = self._entropy.decode_shifted(container["codes"], meta["offset"], meta["shape"])
+        return UniformQuantizer(float(meta["error_bound"])).dequantize(codes)

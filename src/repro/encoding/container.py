@@ -31,8 +31,18 @@ _LEN = struct.Struct("<I")
 _QLEN = struct.Struct("<Q")
 
 
+class _Meta(dict):
+    """A parsed JSON object: a field the payload lacks is damage, not a bug."""
+
+    def __missing__(self, key):
+        raise ValueError(f"corrupt payload: missing meta field {key!r}")
+
+
 class ByteContainer:
-    """Ordered mapping of named byte sections with a compact binary encoding."""
+    """Ordered mapping of named byte sections with a compact binary encoding.
+
+    A missing section or meta field reads as ``ValueError("corrupt payload")``.
+    """
 
     def __init__(self, sections: Mapping[str, bytes] | None = None):
         self._sections: Dict[str, bytes] = {}
@@ -49,6 +59,8 @@ class ByteContainer:
         self._sections[key] = bytes(value)
 
     def __getitem__(self, key: str) -> bytes:
+        if key not in self._sections:
+            raise ValueError(f"corrupt payload: missing section {key!r}")
         return self._sections[key]
 
     def __contains__(self, key: str) -> bool:
@@ -71,22 +83,14 @@ class ByteContainer:
         """Store a JSON-serializable object (used for small metadata headers)."""
         self[key] = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode()
 
-    def get_json(self, key: str):
-        return json.loads(self[key].decode())
-
-    def put_array(self, key: str, arr: np.ndarray) -> None:
-        """Store an ndarray with dtype/shape metadata (lossless, uncompressed)."""
-        arr = np.ascontiguousarray(arr)
-        header = json.dumps({"dtype": arr.dtype.str, "shape": list(arr.shape)}).encode()
-        self[key] = _LEN.pack(len(header)) + header + arr.tobytes()
-
-    def get_array(self, key: str) -> np.ndarray:
-        raw = self[key]
-        (hlen,) = _LEN.unpack_from(raw, 0)
-        meta = json.loads(raw[_LEN.size : _LEN.size + hlen].decode())
-        data = raw[_LEN.size + hlen :]
-        arr = np.frombuffer(data, dtype=np.dtype(meta["dtype"]))
-        return arr.reshape(meta["shape"]).copy()
+    def get_json(self, key: str) -> dict:
+        try:
+            obj = json.loads(self[key].decode(), object_hook=_Meta)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"corrupt payload: section {key!r} is not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"corrupt payload: section {key!r} is not a JSON object")
+        return obj
 
     # ------------------------------------------------------------ serialize
     def to_bytes(self) -> bytes:

@@ -1,31 +1,48 @@
-"""The combined "Huffman + Zstd" entropy stage used by SZ-family compressors."""
+"""The payload streams of every codec: "Huffman + Zstd" integer codes, shifted
+integer codes and float literals, each read back size-checked."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.encoding.huffman import HuffmanCodec
-from repro.encoding.lossless import LosslessBackend, ZlibBackend, get_backend
+from repro.encoding.lossless import LosslessBackend, get_backend
 
 _RAW_HEADER_BYTES = 9  # flag byte + u64 element count
+
+
+def float_section(raw: bytes, dtype=np.float64, shape=None) -> np.ndarray:
+    """``raw`` as ``dtype`` values, reshaped to ``shape`` if given, once its length fits."""
+    dtype = np.dtype(dtype)
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"corrupt payload: {dtype.name} section length is not a "
+                         f"multiple of {dtype.itemsize}")
+    values = np.frombuffer(raw, dtype=dtype)
+    if shape is not None and values.size != int(np.prod(shape)):
+        raise ValueError(f"corrupt payload: {dtype.name} section holds {values.size} "
+                         f"values, shape {tuple(shape)} needs {int(np.prod(shape))}")
+    return values if shape is None else values.reshape(shape)
 
 
 class EntropyCodec:
     """Encode integer quantization codes: canonical Huffman then a dictionary pass.
 
+    It also writes the two other stream kinds: shifted integers (codes with no
+    fixed range, stored minus their minimum) and float literals.
+
     Parameters
     ----------
     backend:
-        Lossless byte backend applied after Huffman coding (``"zlib"``/``"zstd"``
-        by default, per "Substitutions" in docs/architecture.md).
+        Lossless byte backend, or its name, applied after Huffman coding
+        (``"zlib"``/``"zstd"`` by default, per "Substitutions" in docs/architecture.md).
     use_huffman:
         Disable to study the contribution of the Huffman stage in ablations.
     """
 
-    def __init__(self, backend: Optional[LosslessBackend] = None, use_huffman: bool = True):
-        self.backend = backend if backend is not None else ZlibBackend()
+    def __init__(self, backend: Union[LosslessBackend, str] = "zlib", use_huffman: bool = True):
+        self.backend = get_backend(backend) if isinstance(backend, str) else backend
         self.use_huffman = bool(use_huffman)
         self._huffman = HuffmanCodec()
 
@@ -49,7 +66,7 @@ class EntropyCodec:
         errors, bad flags, and short headers are never surfaced raw.
         """
         if not data:
-            raise ValueError("empty entropy stream")
+            raise ValueError("corrupt entropy stream: empty")
         flag = data[0]
         if flag == 1:
             stage1 = self._decompress_backend(data[1:])
@@ -63,6 +80,28 @@ class EntropyCodec:
         if len(stage1) < 8 * n:
             raise ValueError("corrupt entropy stream: raw payload shorter than count")
         return np.frombuffer(stage1, dtype=np.int64, count=n).copy()
+
+    def encode_shifted(self, codes: np.ndarray) -> Tuple[int, bytes]:
+        """``(offset, stream)``: ``codes`` minus their minimum; store ``offset`` beside it."""
+        codes = np.asarray(codes)
+        offset = int(codes.min()) if codes.size else 0
+        return offset, self.encode(codes - offset)
+
+    def decode_shifted(self, stream: bytes, offset: int, shape: Sequence[int]) -> np.ndarray:
+        """Invert :meth:`encode_shifted`: ``shape`` codes with ``offset`` added back."""
+        codes = self.decode(stream)
+        if codes.size != int(np.prod(shape)):
+            raise ValueError(f"corrupt payload: code stream size mismatch ({codes.size} "
+                             f"codes for shape {tuple(shape)})")
+        return codes.reshape(shape) + int(offset)
+
+    def encode_floats(self, values: np.ndarray, dtype=np.float64) -> bytes:
+        """``values`` as ``dtype`` in C order, through the backend."""
+        return self.backend.compress(np.ascontiguousarray(values, dtype=dtype).tobytes())
+
+    def decode_floats(self, stream: bytes, dtype=np.float64, shape=None) -> np.ndarray:
+        """Invert :meth:`encode_floats`; :func:`float_section` checks the length."""
+        return float_section(self._decompress_backend(stream), dtype, shape)
 
     def _decompress_backend(self, blob: bytes) -> bytes:
         try:

@@ -51,13 +51,6 @@ def checked_codes(codes: np.ndarray, shape: Tuple[int, ...], num_bins: int) -> n
     return codes.reshape(shape)
 
 
-def float64_section(raw: bytes) -> np.ndarray:
-    """A decoded float64 section (literals, coefficients, means) as an array."""
-    if len(raw) % 8:
-        raise ValueError("corrupt payload: float64 section length is not a multiple of 8")
-    return np.frombuffer(raw, dtype=np.float64)
-
-
 def decode_residuals(codes: np.ndarray, pred: np.ndarray, literals: np.ndarray,
                      abs_eb: float, num_bins: int) -> np.ndarray:
     """Checked inverse of ``quantize_prediction_errors`` for one residual

@@ -523,9 +523,9 @@ class TestCorruptPayload:
             bound = container.get_json("meta")["latent_error_bound"]
             container[section] = comp.latent_codec.compress(edit(rows), bound).payload
         elif section in ("means", "ae_unpred", "mean_unpred"):
-            values = np.frombuffer(comp._backend.decompress(container[section]),
+            values = np.frombuffer(comp._entropy.backend.decompress(container[section]),
                                    dtype=np.float64)
-            container[section] = comp._backend.compress(edit(values).tobytes())
+            container[section] = comp._entropy.backend.compress(edit(values).tobytes())
         else:
             container[section] = comp._entropy.encode(
                 edit(comp._entropy.decode(container[section])))
@@ -547,11 +547,11 @@ class TestCorruptPayload:
         pytest.param("mean_codes", lambda c: c[:-3],
                      "stream sizes do not match the block grid", id="mean_codes-short"),
         pytest.param("lorenzo_codes", lambda c: c[:-3],
-                     "Lorenzo code stream size mismatch", id="lorenzo_codes-short"),
+                     "code stream size mismatch", id="lorenzo_codes-short"),
         pytest.param("latents", lambda rows: rows[:-2],
                      "latent rows do not match the AE blocks", id="latents-short"),
         pytest.param("means", lambda m: np.append(m, 1.0),
-                     "block mean stream size mismatch", id="means-extra"),
+                     "float64 section holds", id="means-extra"),
         pytest.param("means", _ragged, "float64 section length", id="means-ragged"),
         pytest.param("ae_unpred", _ragged, "float64 section length", id="ae_unpred-ragged"),
         pytest.param("mean_unpred", _ragged, "float64 section length", id="mean_unpred-ragged"),

@@ -8,7 +8,6 @@ from repro.predictors.blockwise import (
     checked_codes,
     checked_flags,
     decode_residuals,
-    float64_section,
     select,
 )
 from repro.quantization.linear import quantize_prediction_errors
@@ -108,11 +107,3 @@ def test_decode_residuals_inverts_quantization_and_checks_literals():
     with pytest.raises(ValueError, match="corrupt payload: quantization code out of range"):
         decode_residuals(qr.codes.ravel(), pred, qr.unpredictable, 1e-3, 8)
 
-
-def test_float64_section_rejects_a_ragged_length():
-    raw = np.arange(3, dtype=np.float64).tobytes()
-    np.testing.assert_array_equal(float64_section(raw), [0.0, 1.0, 2.0])
-    assert float64_section(b"").size == 0
-    for cut in (1, 7):
-        with pytest.raises(ValueError, match="corrupt payload: float64 section length"):
-            float64_section(raw[:-cut])

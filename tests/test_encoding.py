@@ -211,14 +211,6 @@ class TestByteContainer:
         c2 = ByteContainer.from_bytes(c.to_bytes())
         assert c2.get_json("meta") == {"x": 1, "y": [1, 2, 3]}
 
-    def test_array_roundtrip(self):
-        c = ByteContainer()
-        arr = np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32)
-        c.put_array("arr", arr)
-        out = ByteContainer.from_bytes(c.to_bytes()).get_array("arr")
-        np.testing.assert_array_equal(out, arr)
-        assert out.dtype == arr.dtype
-
     def test_bad_magic_raises(self):
         with pytest.raises(ValueError):
             ByteContainer.from_bytes(b"XXXX\x00\x00\x00\x00")

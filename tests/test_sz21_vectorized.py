@@ -140,8 +140,8 @@ def test_truncated_coefficient_stream_raises():
     payload = comp.compress(data, 1e-3)
     container = ByteContainer.from_bytes(payload)
     assert "coefs" in container, "field must select some regression blocks"
-    coefs = np.frombuffer(comp._backend.decompress(container["coefs"]), dtype=np.float64)
-    container["coefs"] = comp._backend.compress(coefs[:-1].tobytes())
+    coefs = np.frombuffer(comp._entropy.backend.decompress(container["coefs"]), dtype=np.float64)
+    container["coefs"] = comp._entropy.backend.compress(coefs[:-1].tobytes())
     with pytest.raises(ValueError, match="corrupt payload: regression coefficient"):
         comp.decompress(container.to_bytes())
 
@@ -154,8 +154,8 @@ def test_ragged_float64_section_raises(section):
     data = (np.add.outer(np.linspace(0, 10, 64), np.linspace(0, 5, 64))
             + 0.01 * np.random.default_rng(2).standard_normal((64, 64)))
     container = ByteContainer.from_bytes(comp.compress(data, 1e-4))
-    container[section] = comp._backend.compress(
-        comp._backend.decompress(container[section]) + b"\x00" * 3)
+    container[section] = comp._entropy.backend.compress(
+        comp._entropy.backend.decompress(container[section]) + b"\x00" * 3)
     with pytest.raises(ValueError, match="corrupt payload: float64 section length"):
         comp.decompress(container.to_bytes())
 
@@ -184,11 +184,11 @@ def _recoded(comp, payload: bytes, section: str, edit) -> bytes:
     Huffman ones) can carry negative codes."""
     container = ByteContainer.from_bytes(payload)
     if section == "unpred":
-        values = np.frombuffer(comp._backend.decompress(container[section]),
+        values = np.frombuffer(comp._entropy.backend.decompress(container[section]),
                                dtype=np.float64)
-        container[section] = comp._backend.compress(edit(values.copy()).tobytes())
+        container[section] = comp._entropy.backend.compress(edit(values.copy()).tobytes())
     else:
-        raw = EntropyCodec(backend=comp._backend, use_huffman=False)
+        raw = EntropyCodec(backend=comp._entropy.backend, use_huffman=False)
         container[section] = raw.encode(edit(comp._entropy.decode(container[section])))
     return container.to_bytes()
 
@@ -215,7 +215,7 @@ def test_sz21_code_out_of_range_raises(value):
     ("unpred", lambda v: np.append(v, 1.0), "unpredictable-value stream"),
     ("unpred", lambda v: v[:-1], "unpredictable-value stream"),
     ("codes", lambda c: c[:-3], "code stream size"),
-    ("anchors", lambda a: a[:-1], "anchor stream size"),
+    ("anchors", lambda a: a[:-1], "code stream size"),
 ], ids=["extra_literal", "short_literals", "short_codes", "short_anchors"])
 def test_szinterp_stream_size_mismatch_raises(section, edit, message):
     """Every szinterp stream is sized by the shape: one literal too many must
