@@ -30,8 +30,8 @@ from __future__ import annotations
 import os
 from operator import index as _as_index
 from pathlib import Path
-from typing import (Any, Iterable, Iterator, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Iterable, Iterator, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 from numpy.typing import ArrayLike, DTypeLike
@@ -476,6 +476,30 @@ def compress_chunked(source: Union[ArrayLike, str, os.PathLike,
     that ``embed_model=True`` stores the weights in *every* chunk; pass
     ``embed_model=False`` and keep the model as a side file when that matters.
     """
+    return _compress_chunked(
+        source, codec, bound, chunk_size=chunk_size, chunk_shape=chunk_shape,
+        codec_options=codec_options, embed_model=embed_model,
+        data_range=data_range, dtype=dtype,
+        job_map=lambda func, jobs: parallel_imap(func, jobs, workers=workers))
+
+
+#: How :func:`_compress_chunked` runs its per-chunk jobs: ``job_map(func,
+#: jobs)`` yields ``func(job)`` per job, in order.
+_JobMap = Callable[[Callable[[Any], bytes], Iterable[Any]], Iterable[bytes]]
+
+
+def _compress_chunked(source, codec: CodecArg, bound: BoundArg, *,
+                      chunk_size: int, chunk_shape: Optional[Sequence[int]],
+                      codec_options: Optional[dict], embed_model: bool,
+                      data_range: Optional[Tuple[float, float]],
+                      dtype: Optional[DTypeLike], job_map: _JobMap) -> bytes:
+    """:func:`compress_chunked` with the per-chunk job map as a seam.
+
+    Everything but ``_compress_chunk_job`` runs in the caller — chunking,
+    the Rel -> Abs conversion, the envelope — so any ``job_map`` that runs
+    that job faithfully (in-process, a process pool, the ingest worker
+    process) yields the same bytes.
+    """
     src = _resolve_field_source(source)
     bound = as_bound(bound)
     if isinstance(codec, str):
@@ -554,8 +578,7 @@ def compress_chunked(source: Union[ArrayLike, str, os.PathLike,
                 yield (_cast(src[sl]), job_codec, codec_options, chunk_bound,
                        embed_model)
 
-        blobs = list(parallel_imap(_compress_chunk_job, _tile_jobs(),
-                                   workers=workers))
+        blobs = list(job_map(_compress_chunk_job, _tile_jobs()))
         return build_grid_archive(
             codec=spec.name, shape=tuple(int(s) for s in src.shape),
             dtype=str(cast_dtype) if cast_dtype is not None else str(src.dtype),
@@ -574,7 +597,7 @@ def compress_chunked(source: Union[ArrayLike, str, os.PathLike,
                 yield (_cast(chunk), job_codec, codec_options, chunk_bound,
                        embed_model)
 
-    blobs = list(parallel_imap(_compress_chunk_job, _jobs(), workers=workers))
+    blobs = list(job_map(_compress_chunk_job, _jobs()))
     if not blobs:
         raise ValueError("source produced no data to compress")
     if is_array:

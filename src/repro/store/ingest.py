@@ -7,7 +7,20 @@ field in memory:
 
 1. **Stream-compress** — the upload arrives as an iterator of row blocks and
    rides :func:`repro.api.compress_chunked`'s iterator source, so memory is
-   bounded by one chunk regardless of field size.
+   bounded by one chunk regardless of field size.  Each chunk's codec run
+   happens in the process's one ingest worker (a long-lived ``spawn``
+   :class:`~repro.utils.parallel.WorkerProcess`, started when the first
+   writable server is built), off the GIL the server's readers need: only the
+   chunk, codec name, bound and options go there and only the chunk's
+   archive bytes come back.  This process keeps the rest — body parsing,
+   rechunking, the Rel -> Abs conversion and the envelope — and every step
+   below.  The worker is held for one chunk at a time, never while an
+   upload body is read, so ingests of different keys share it chunk by
+   chunk.  If it dies mid-chunk that ingest fails with ``OSError`` (HTTP
+   500); the next ingest starts a new one.  The worker starts from a fresh
+   import (``spawn``): codecs registered at run time in this process are
+   unknown to it, and a program embedding the server must keep its entry
+   point under ``if __name__ == "__main__"``.
 2. **Stage + verify** — the archive bytes are written to a ``*.tmp`` file
    under the root's ``archives/`` directory (SHA-256 content token computed
    on the way through, file fsync'd), then re-opened and verified: the front
@@ -45,7 +58,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api import DEFAULT_CHUNK_ELEMS, compress_chunked, load_index, open_reader
+from repro.api import (DEFAULT_CHUNK_ELEMS, _compress_chunked, load_index,
+                       open_reader)
 from repro.bounds import ErrorBound, as_bound
 from repro.registry import compressor_spec
 from repro.store.manifest import (
@@ -55,6 +69,7 @@ from repro.store.manifest import (
 )
 from repro.store.store import ArchiveStore, _check_key
 from repro.utils.concurrency import install_guards, make_lock
+from repro.utils.parallel import WorkerProcess
 
 #: Default per-key quota on *uploaded field bytes* (1 GiB).  The archive on
 #: disk is smaller by the compression ratio; the quota guards the streaming
@@ -64,6 +79,11 @@ DEFAULT_QUOTA_BYTES = 1 << 30
 #: Read granularity for upload bodies: bounds per-chunk memory while keeping
 #: syscall counts low.
 _IO_CHUNK = 1 << 20
+
+
+#: The process's one compression worker, shared by every manager and ingest:
+#: one per manager would start a process per store root (and per test).
+_WORKER = WorkerProcess("repro-ingest")
 
 
 class IngestConflictError(RuntimeError):
@@ -227,7 +247,8 @@ class IngestManager:
     bound); ``model`` is the decode context handed to the store for replayed
     and newly ingested archives (matching ``repro serve --model``).  All
     methods are thread-safe; concurrent ingests of *different* keys run in
-    parallel, concurrent ingests of the *same* key conflict
+    parallel, sharing the process's one compression worker chunk by chunk;
+    concurrent ingests of the *same* key conflict
     (:class:`IngestConflictError`).
     """
 
@@ -288,6 +309,17 @@ class IngestManager:
         return skipped
 
     # ---------------------------------------------------------------- ingest
+    @staticmethod
+    def start_worker() -> None:
+        """Start the process's compression worker now, without waiting for it.
+
+        A writable server calls this when it is built, so the worker's
+        imports overlap everything before the first push; a read-only node
+        never starts one.  :meth:`ingest` starts it anyway, and replaces
+        one that died.
+        """
+        _WORKER.start()
+
     def ingest(self, key: str, blocks: Iterable[np.ndarray], *,
                codec: str = "sz21", bound: Any = 1e-3,
                chunk_size: int = DEFAULT_CHUNK_ELEMS,
@@ -303,8 +335,10 @@ class IngestManager:
         (durably written) manifest entry; raises
         :class:`IngestConflictError` if ``key`` is already mid-ingest,
         ``ValueError`` for caller mistakes (unknown codec, model-requiring
-        codec, bad bound, malformed body via the block iterator), and
-        :class:`IngestVerifyError` if the staged archive fails verification.
+        codec, bad bound, malformed body via the block iterator, a codec
+        error re-raised from the worker), :class:`IngestVerifyError` if the
+        staged archive fails verification, and ``OSError`` if the worker
+        died mid-chunk.
         """
         _check_key(key)
         bound = as_bound(bound)
@@ -323,6 +357,7 @@ class IngestManager:
                     f"an ingest of key {key!r} is already in progress")
             self._active.add(key)
         try:
+            self.start_worker()
             return self._ingest_locked_key(key, blocks, spec.name, bound,
                                            chunk_size, data_range, cast_dtype)
         finally:
@@ -332,9 +367,10 @@ class IngestManager:
     def _ingest_locked_key(self, key: str, blocks, codec: str,
                            bound: ErrorBound, chunk_size: int, data_range,
                            cast_dtype) -> ManifestEntry:
-        blob = compress_chunked(blocks, codec=codec, bound=bound,
-                                chunk_size=chunk_size, data_range=data_range,
-                                dtype=cast_dtype)
+        blob = _compress_chunked(blocks, codec, bound, chunk_size=chunk_size,
+                                 chunk_shape=None, codec_options=None,
+                                 embed_model=True, data_range=data_range,
+                                 dtype=cast_dtype, job_map=_WORKER.imap)
         old = self.manifest.get(key)
         generation = 1 if old is None else old.generation + 1
         final = self.manifest.archive_dir / _archive_filename(key, generation)

@@ -61,7 +61,12 @@ Write routes (enabled by passing an :class:`IngestManager` — the CLI's
     ``X-Repro-Bound`` / ``X-Repro-Bound-Mode`` (+ ``X-Repro-Data-Range`` for
     ``rel`` over a stream) with codec ``X-Repro-Codec``.  Publishes (201) or
     atomically replaces (200) the key; concurrent ingest of the same key is
-    409, a body over the per-key quota is 413.
+    409, a body over the per-key quota is 413.  The route's thread reads the
+    body and builds, stages and publishes the archive; each chunk's codec
+    run happens in the process's one ingest worker process
+    (:mod:`repro.store.ingest`), so region reads never wait on the encoder
+    for the GIL.  Ingests of different keys share that worker chunk by
+    chunk; a stalled upload holds it for none of its stall.
 ``DELETE /v1/<key>``
     Remove the key from the manifest and the store; the archive file is
     unlinked once in-flight readers drain.
@@ -73,7 +78,8 @@ When the manifest carries bearer tokens, mutating routes require
 Errors are JSON bodies ``{"error": ...}``: 400 for malformed requests,
 framing or upload bodies (one that stalls past the read timeout or ends
 short included), 404 for unknown keys/routes, 405 for writes to a read-only
-server, 500 for decode/verify failures or a route that raises.  A 500 is
+server, 500 for decode/verify failures, an ingest worker that died
+mid-chunk, or a route that raises.  A 500 is
 scoped to the affected request — failed decodes are never cached, so other
 regions (and retries) keep serving.  Response metadata for a region is
 derived from the entry the bytes were *actually* decoded from (one atomic
@@ -375,8 +381,8 @@ class BodyReader:
         except socket.timeout:
             raise ValueError("corrupt upload body: timed out waiting for "
                              "request bytes") from None
-        except ConnectionResetError:
-            pass  # a reset cuts the body short, as EOF does
+        except ConnectionError:
+            pass  # a reset, or a peer gone before 100 Continue: EOF
         finally:
             self.sock.settimeout(self._sock_timeout)
         return bytes(out)
@@ -466,6 +472,8 @@ class StoreApp:
         self.store = store
         self.ingest = ingest
         self.metrics = RouteMetrics()
+        if ingest is not None:
+            ingest.start_worker()
 
     # ------------------------------------------------------------ entry point
     def handle(self, request: Request) -> Response:

@@ -30,7 +30,7 @@ from repro.store import ArchiveStore, IngestManager, make_server
 from repro.store import store as store_module
 from repro.store.server import _MAX_HEADER_BYTES
 from repro.store.client import PushError, delete_key, push_field
-from repro.store.server import Request, StoreApp
+from repro.store.server import BodyReader, Request, StoreApp
 
 CODEC = "szinterp"
 SIDE, TILE = 32, 16
@@ -263,6 +263,17 @@ class TestUploadBodies:
             assert status == 201 and json.loads(body)["created"]
             status, _, body = _read_response(f)
             assert status == 200 and json.loads(body)["shape"] == [4, 4]
+
+
+def test_peer_gone_before_100_continue_reads_as_eof():
+    """A client that closes before the interim ``100 Continue`` ends the body
+    the way EOF does: the failed send is no ``BrokenPipeError`` for the route
+    to log and answer with a 500 nobody reads."""
+    ours, peer = socket.socketpair()
+    peer.close()
+    with ours:
+        reader = BodyReader(ours, 1.0, {"expect": "100-continue"})
+        assert reader.read(10) == b""
 
 
 # ---------------------------------------------------------------------------

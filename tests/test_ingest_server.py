@@ -9,8 +9,11 @@ while a key is replaced under concurrent readers.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -24,7 +27,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.bounds import Abs
 from repro.store import ArchiveStore, IngestManager, PushError, push_field
+from repro.store import ingest as ingest_mod
 from repro.store.client import delete_key
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -370,6 +375,128 @@ class TestReplaceUnderReaders:
         assert len(archives) == 1
 
 
+@pytest.fixture(params=["threaded", "selectors"])
+def front_end(tmp_path, request):
+    """A writable in-process server on each front end: (url, manager)."""
+    import repro.store.server as server_mod
+
+    store = ArchiveStore()
+    manager = IngestManager(tmp_path / "root", store)
+    srv = server_mod.make_server(store, ingest=manager, server=request.param)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv.url, manager
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        store.close()
+        thread.join(timeout=10)
+
+
+def _connect(url):
+    host, port = url.split("//", 1)[1].rsplit(":", 1)
+    return socket.create_connection((host, int(port)), timeout=30)
+
+
+def _head(key, arr, **extra):
+    """Request head of an upload of ``arr`` to ``key`` (no blank line)."""
+    lines = [f"POST /v1/{key} HTTP/1.1", "Host: t"]
+    lines += [f"{k}: {v}" for k, v in {**_std_headers(arr), **extra}.items()]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _status(f):
+    """The status code of the next response (or interim response) on ``f``."""
+    return int(f.readline().split(None, 2)[1])
+
+
+def _response_rest(f):
+    """The JSON body of a response whose status line was already read."""
+    headers = {}
+    for raw in iter(f.readline, b"\r\n"):
+        name, _, value = raw.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return json.loads(f.read(int(headers["content-length"])))
+
+
+class TestIngestWorker:
+    """Ingest compresses in the process's one worker process; the server
+    keeps the envelope, staging and publish."""
+
+    @pytest.mark.parametrize("codec", ["sz21", "szinterp", "zfp"])
+    def test_published_bytes_match_in_process_compress_chunked(
+            self, front_end, codec):
+        url, _ = front_end
+        arr = _field(seed=21)
+        chunk = 8 * arr.shape[1]  # five chunks cross the pipe
+        lo, hi = float(arr.min()), float(arr.max())
+        status, payload = _raw_post(
+            url, "k", body=arr.tobytes(),
+            headers=_std_headers(arr, **{"X-Repro-Codec": codec,
+                                         "X-Repro-Chunk-Size": str(chunk)}))
+        assert status == 201, payload
+        want = repro.compress_chunked(arr, codec=codec, bound=1e-3,
+                                      chunk_size=chunk, data_range=(lo, hi),
+                                      dtype=np.float64)
+        assert payload["token"] == hashlib.sha256(want).hexdigest()
+
+    def test_codec_error_in_the_worker_is_the_same_400(self, front_end):
+        url, _ = front_end
+        arr = _field(seed=22)
+        arr[3, 3] = np.nan
+        with pytest.raises(ValueError) as here:
+            repro.compress(arr, codec=CODEC, bound=Abs(1e-3))
+        status, payload = _raw_post(
+            url, "nan", body=arr.tobytes(),
+            headers=_std_headers(arr, **{"X-Repro-Bound-Mode": "abs",
+                                         "X-Repro-Data-Range": None}))
+        assert status == 400 and payload["error"] == str(here.value)
+
+    def test_killed_worker_fails_the_push_in_flight_only(self, front_end):
+        url, manager = front_end
+        arr = _field(seed=23)
+        with _connect(url) as s, s.makefile("rb") as f:
+            s.sendall(_head("k", arr, **{
+                "Content-Length": str(arr.nbytes),
+                "Expect": "100-continue"}) + b"\r\n")
+            # 100 Continue comes at the first body read: the ingest runs.
+            assert _status(f) == 100 and f.readline() == b"\r\n"
+            dead = ingest_mod._WORKER.pid
+            os.kill(dead, signal.SIGKILL)
+            s.sendall(arr.tobytes())
+            assert _status(f) == 500
+            doc = _response_rest(f)
+        assert "worker process died" in doc["error"]
+        assert manager.manifest.get("k") is None
+        payload = push_field(url, "k", arr, bound=1e-3, codec=CODEC)
+        assert payload["status"] == 201
+        assert ingest_mod._WORKER.pid not in (None, dead)
+
+    def test_stalled_upload_does_not_hold_the_worker(self, front_end):
+        url, _ = front_end
+        arr = _field(seed=24)
+        half = arr.nbytes // 2
+        body = arr.tobytes()
+        with _connect(url) as s, s.makefile("rb") as f:
+            s.sendall(_head("a", arr, **{"Transfer-Encoding": "chunked",
+                                         "X-Repro-Chunk-Size": "64"})
+                      + b"\r\n" + b"%x\r\n" % half + body[:half] + b"\r\n")
+            # Key a's ingest is in flight (409), and its first half has had
+            # time to cross to the worker; then its client goes quiet.
+            with pytest.raises(PushError) as exc:
+                push_field(url, "a", arr, bound=1e-3, codec=CODEC)
+            assert exc.value.status == 409
+            time.sleep(0.5)
+            done = push_field(url, "b", _field(seed=25), bound=1e-3,
+                              codec=CODEC, timeout=20)
+            assert done["status"] == 201
+            rest = body[half:]
+            s.sendall(b"%x\r\n" % len(rest) + rest + b"\r\n0\r\n\r\n")
+            assert _status(f) == 201
+            assert _response_rest(f)["key"] == "a"
+
+
 class TestCliEndToEnd:
     def _spawn_serve(self, root, *extra):
         proc = subprocess.Popen(
@@ -430,6 +557,25 @@ class TestCliEndToEnd:
         finally:
             self._stop(proc)
 
+    def test_sigkilled_server_leaves_no_process_behind(self, tmp_path):
+        proc, url = self._spawn_serve(tmp_path / "root", "--writable")
+        try:
+            push_field(url, "temp", _field(seed=9), bound=1e-3, codec=CODEC)
+            children = _children(proc.pid)
+            assert any("multiprocessing.spawn" in cmd
+                       for cmd in children.values()), children
+        finally:
+            proc.kill()
+            proc.wait(timeout=15)
+            proc.stdout.close()
+            proc.stderr.close()
+        # The worker reads its jobs from a pipe only the server held: EOF.
+        deadline = time.monotonic() + 5
+        while [pid for pid in children if _running(pid)]:
+            assert time.monotonic() < deadline, \
+                f"outlived the server: {children}"
+            time.sleep(0.05)
+
     def test_serve_flag_validation(self, tmp_path):
         env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
         for argv in (["--writable"], ["--auth-token", "x"], []):
@@ -468,3 +614,28 @@ class TestCliEndToEnd:
             assert exc.value.code == 404
         finally:
             self._stop(proc)
+
+
+def _children(ppid):
+    """``{pid: command line}`` of the live children of ``ppid``."""
+    out = {}
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+            cmd = (entry / "cmdline").read_bytes().replace(b"\0", b" ")
+        except OSError:  # exited while we looked
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == ppid:
+            out[int(entry.name)] = cmd.decode(errors="replace")
+    return out
+
+
+def _running(pid):
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")

@@ -1,5 +1,11 @@
 """Tests for repro.utils (rng, timing, validation, parallel)."""
 
+import math
+import operator
+import os
+import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -16,6 +22,7 @@ from repro.utils import (
     throughput_mb_s,
     value_range,
 )
+from repro.utils.parallel import WorkerProcess
 from repro.utils.rng import derive_seed
 from repro.utils.validation import absolute_error_bound, ensure_dims
 
@@ -141,3 +148,90 @@ class TestParallelMap:
 
     def test_single_item_stays_serial(self):
         assert parallel_map(lambda x: -x, [5], workers=8) == [-5]
+
+
+class _Unrebuildable(Exception):
+    """Pickles, but its two-argument ``__init__`` cannot rebuild it."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
+
+
+def _raise_unrebuildable(_):
+    raise _Unrebuildable("x", "y")
+
+
+@pytest.fixture(scope="module")
+def worker():
+    w = WorkerProcess("test-worker")
+    w.start()
+    yield w
+    w.close()
+
+
+class TestWorkerProcess:
+    def test_call_returns_the_result(self, worker):
+        assert worker.call(math.sqrt, 6.25) == 2.5
+        assert list(worker.imap(abs, [-1, 2, -3])) == [1, 2, 3]
+
+    def test_exception_keeps_type_and_message(self, worker):
+        with pytest.raises(ValueError) as exc:
+            worker.call(int, "not a number")
+        with pytest.raises(ValueError) as here:
+            int("not a number")
+        assert str(exc.value) == str(here.value)
+        assert worker.call(math.sqrt, 4.0) == 2.0  # still serving
+
+    def test_exception_that_cannot_cross_is_a_runtime_error(self, worker):
+        with pytest.raises(RuntimeError, match="_Unrebuildable: x-y"):
+            worker.call(_raise_unrebuildable, None)
+
+    def test_dead_worker_raises_oserror_until_restarted(self, worker):
+        old = worker.pid
+        os.kill(old, signal.SIGKILL)
+        with pytest.raises(OSError, match="died"):
+            worker.call(math.sqrt, 1.0)
+        with pytest.raises(OSError, match="not running"):
+            worker.call(math.sqrt, 1.0)
+        worker.start()
+        assert worker.pid not in (None, old)
+        assert worker.call(math.sqrt, 9.0) == 3.0
+
+    def test_threads_share_it_without_crossed_replies(self, worker):
+        """Each caller gets its own job's result: a reply read by the wrong
+        thread (an unlocked send/receive pair) breaks the equality."""
+        wrong, interval = [], sys.getswitchinterval()
+
+        def caller(base):
+            for i in range(base, base + 25):
+                if worker.call(operator.neg, i) != -i:
+                    wrong.append(i)
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(1000 * t,))
+                       for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
+
+    def test_start_is_a_no_op_while_alive(self, worker):
+        pid = worker.pid
+        worker.start()
+        assert worker.pid == pid
+
+    def test_close_stops_the_process(self):
+        w = WorkerProcess("test-close")
+        w.start()
+        pid = w.pid
+        assert w.call(math.sqrt, 1.0) == 1.0
+        w.close()
+        assert w.pid is None
+        with pytest.raises(OSError, match="not running"):
+            w.call(math.sqrt, 1.0)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # exited and reaped
