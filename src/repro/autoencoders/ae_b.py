@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.autoencoders.base import BlockAutoencoder
 from repro.autoencoders.config import AutoencoderConfig
+from repro.autoencoders.conv_ae import _conv_cls
 from repro.nn.layers.activations import ReLU, Tanh
-from repro.nn.layers.conv import Conv2d, Conv3d
-from repro.nn.layers.conv_transpose import ConvTranspose2d, ConvTranspose3d
 from repro.nn.module import Module
 from repro.nn.network import Sequential
 from repro.utils.rng import spawn_rngs
@@ -28,7 +27,7 @@ class ResidualBlock(Module):
     """Conv -> ReLU -> Conv with an identity skip connection."""
 
     def __init__(self, channels: int, ndim: int, rng=None):
-        conv_cls = Conv3d if ndim == 3 else Conv2d
+        conv_cls, _ = _conv_cls(ndim)
         self.conv1 = conv_cls(channels, channels, 3, stride=1, padding=1, rng=rng)
         self.relu = ReLU()
         self.conv2 = conv_cls(channels, channels, 3, stride=1, padding=1, rng=rng)
@@ -66,8 +65,7 @@ class ResidualConvAutoencoder(BlockAutoencoder):
                                    latent_size=latent_channels *
                                    (block_size // (2**n_compression)) ** ndim,
                                    channels=(channels,) * n_compression, seed=seed)
-        conv_cls = Conv3d if ndim == 3 else Conv2d
-        deconv_cls = ConvTranspose3d if ndim == 3 else ConvTranspose2d
+        conv_cls, deconv_cls = _conv_cls(ndim)
         rngs = spawn_rngs(seed, 4 * n_compression + 2 * n_residual + 4)
         r = iter(rngs)
 
@@ -76,8 +74,7 @@ class ResidualConvAutoencoder(BlockAutoencoder):
             enc_layers.append(ResidualBlock(channels, ndim, rng=next(r)))
         for i in range(n_compression):
             out_ch = latent_channels if i == n_compression - 1 else channels
-            enc_layers.append(conv_cls(channels if i == 0 or True else channels, out_ch, 3,
-                                       stride=2, padding=1, rng=next(r)))
+            enc_layers.append(conv_cls(channels, out_ch, 3, stride=2, padding=1, rng=next(r)))
             if i < n_compression - 1:
                 enc_layers.append(ReLU())
         encoder = Sequential(*enc_layers)
@@ -109,15 +106,6 @@ class ResidualConvAutoencoder(BlockAutoencoder):
         spatial = self.config.block_size // (2**self.n_compression)
         shape = (latents.shape[0], self.latent_channels) + (spatial,) * self.config.ndim
         return super()._decode_chunk(latents.reshape(shape))
-
-    def train_step(self, batch: np.ndarray) -> float:
-        x = self.normalize(self._with_channel(batch))
-        latent = self.encoder.forward(x, training=True)
-        recon = self.decoder.forward(latent, training=True)
-        rec_loss, grad_recon = self.reconstruction_loss(recon, x)
-        grad_latent = self.decoder.backward(grad_recon)
-        self.encoder.backward(grad_latent)
-        return float(rec_loss)
 
     @property
     def fixed_compression_ratio(self) -> float:

@@ -119,9 +119,6 @@ class BlockAutoencoder(Module):
         """``decode(encode(blocks))`` — the AE prediction used by AE-SZ."""
         return self.decode(self.encode(blocks))
 
-    # alias used by the AE-SZ compressor
-    predict_blocks = reconstruct
-
     # --------------------------------------------------------------- training
     def latent_regularizer(self, latent: np.ndarray) -> Tuple[float, np.ndarray]:
         """Latent-space regularization term; default: none."""

@@ -17,7 +17,7 @@ import numpy as np
 from repro.autoencoders.ae_a import FullyConnectedAutoencoder
 from repro.compressors.base import Compressor
 from repro.compressors.sz21 import SZ21Compressor
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_int, checked_shape
 from repro.encoding.entropy import float_section
 from repro.nn.serialization import (
     dump_model_blob,
@@ -110,9 +110,10 @@ class AEACompressor(Compressor):
     def decompress(self, payload: bytes) -> np.ndarray:
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
-        shape = tuple(meta["shape"])
+        shape = checked_shape(meta["shape"], "shape")
+        n_segments = checked_int(meta["n_segments"], "n_segments")
         latents = float_section(container["latents"], np.float32,
-                                (int(meta["n_segments"]), self.autoencoder.config.latent_size))
+                                (n_segments, self.autoencoder.config.latent_size))
         ae_recon = self.autoencoder.decode(latents.astype(np.float64))
         n_points = int(np.prod(shape))
         flat_recon = ae_recon.ravel()[:n_points].reshape(shape)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.autoencoders.ae_b import ResidualConvAutoencoder
 from repro.compressors.base import Compressor
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_int
 from repro.encoding.entropy import float_section
 from repro.nn.serialization import (
     dump_model_blob,
@@ -92,5 +92,5 @@ class AEBCompressor(Compressor):
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
         latents = float_section(container["latents"], np.float32,
-                                (grid.n_blocks, int(meta["latent_size"])))
+                                (grid.n_blocks, checked_int(meta["latent_size"], "latent_size")))
         return reassemble_blocks(self.autoencoder.decode(latents.astype(np.float64)), grid)

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_int, checked_positive
 from repro.encoding.entropy import EntropyCodec
 from repro.predictors.blockwise import checked_codes, checked_flags, decode_residuals, select
 from repro.predictors.lorenzo import _batched_lorenzo_predict, _hyperplane_predictions
@@ -197,7 +197,8 @@ class SZ21Compressor(Compressor):
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
-        abs_eb, num_bins = float(meta["abs_error_bound"]), int(meta["num_bins"])
+        abs_eb = checked_positive(meta["abs_error_bound"], "abs_error_bound")
+        num_bins = checked_int(meta["num_bins"], "num_bins")
         block_shape = grid.block_shape
         shape = (grid.n_blocks,) + block_shape
         flags = checked_flags(self._entropy.decode(container["flags"]), grid.n_blocks, 2)

@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.compressors.base import Compressor
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_int, checked_positive, checked_shape
 from repro.encoding.entropy import EntropyCodec
 from repro.predictors.lorenzo import (
     lorenzo_inverse_transform,
@@ -86,9 +86,11 @@ class SZAutoCompressor(Compressor):
     def decompress(self, payload: bytes) -> np.ndarray:
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
-        shape = tuple(meta["shape"])
-        abs_eb = float(meta["abs_error_bound"])
-        order = int(meta["order"])
+        shape = checked_shape(meta["shape"], "shape")
+        abs_eb = checked_positive(meta["abs_error_bound"], "abs_error_bound")
+        order = checked_int(meta["order"], "order")
+        if order not in (1, 2):
+            raise ValueError(f"corrupt payload: unknown Lorenzo order {order}")
 
         diffs = self._entropy.decode_shifted(container["codes"], meta["offset"], shape)
         q = lorenzo_inverse_transform(diffs) if order == 1 else second_order_lorenzo_inverse(diffs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import Compressor
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_int, checked_positive, checked_shape
 from repro.encoding.entropy import EntropyCodec
 from repro.predictors.interpolation import (
     multilevel_interpolation_decode,
@@ -59,11 +59,11 @@ class SZInterpCompressor(Compressor):
     def decompress(self, payload: bytes) -> np.ndarray:
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
-        shape = tuple(meta["shape"])
-        abs_eb = float(meta["abs_error_bound"])
+        shape = checked_shape(meta["shape"], "shape")
+        abs_eb = checked_positive(meta["abs_error_bound"], "abs_error_bound")
         anchors = self._entropy.decode_shifted(container["anchors"], meta["anchor_offset"],
                                                meta["anchor_shape"])
         codes = self._entropy.decode(container["codes"])
         unpred = self._entropy.decode_floats(container["unpred"])
         return multilevel_interpolation_decode(anchors, codes, unpred, shape, abs_eb,
-                                               int(meta["num_bins"]))
+                                               checked_int(meta["num_bins"], "num_bins"))

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.compressors.base import Compressor
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_positive
 from repro.encoding.entropy import EntropyCodec
 from repro.registry import register_compressor
 
@@ -109,6 +109,6 @@ class ZFPCompressor(Compressor):
         grid = BlockGrid.from_dict(meta["grid"])
         codes = self._entropy.decode_shifted(container["codes"], meta["offset"],
                                              (grid.n_blocks,) + grid.block_shape)
-        coeffs = codes.astype(np.float64) * float(meta["step"])
+        coeffs = codes.astype(np.float64) * checked_positive(meta["step"], "step")
         blocks = _inverse_transform(coeffs)
         return reassemble_blocks(blocks, grid)

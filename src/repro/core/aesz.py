@@ -29,7 +29,7 @@ from repro.compressors.base import Compressor, _absolute_bound
 from repro.core.blocking import BlockGrid, reassemble_blocks, split_into_blocks
 from repro.core.config import AESZConfig
 from repro.core.latent_codec import LatentCodec
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_int, checked_positive
 from repro.encoding.entropy import EntropyCodec
 from repro.nn.serialization import (
     dump_model_blob,
@@ -336,7 +336,8 @@ class AESZCompressor(Compressor):
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         grid = BlockGrid.from_dict(meta["grid"])
-        abs_eb, num_bins = float(meta["abs_error_bound"]), int(meta["num_bins"])
+        abs_eb = checked_positive(meta["abs_error_bound"], "abs_error_bound")
+        num_bins = checked_int(meta["num_bins"], "num_bins")
         flags = checked_flags(self._entropy.decode(container["flags"]), grid.n_blocks, 3)
         block_shape = grid.block_shape
         blocks = np.zeros((grid.n_blocks,) + block_shape, dtype=np.float64)

@@ -13,6 +13,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.encoding.container import checked_shape
 from repro.utils.validation import ensure_dims
 
 IntOrSeq = Union[int, Sequence[int]]
@@ -45,12 +46,16 @@ class BlockGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockGrid":
-        return cls(
-            original_shape=tuple(d["original_shape"]),
-            padded_shape=tuple(d["padded_shape"]),
-            block_shape=tuple(d["block_shape"]),
-            grid_shape=tuple(d["grid_shape"]),
-        )
+        """The grid a payload records, once it is one :func:`split_into_blocks` makes."""
+        grid = cls(*(checked_shape(d[key], f"grid {key}") for key in
+                     ("original_shape", "padded_shape", "block_shape", "grid_shape")))
+        block = grid.block_shape
+        if len(block) == grid.ndim and all(b > 0 for b in block):
+            padded = tuple(s + (-s) % b for s, b in zip(grid.original_shape, block))
+            if (grid.padded_shape == padded
+                    and grid.grid_shape == tuple(p // b for p, b in zip(padded, block))):
+                return grid
+        raise ValueError(f"corrupt payload: inconsistent block grid {d!r:.160}")
 
 
 def _normalize_block_shape(block_size: IntOrSeq, ndim: int) -> Tuple[int, ...]:

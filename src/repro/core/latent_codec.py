@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.encoding.container import ByteContainer
+from repro.encoding.container import ByteContainer, checked_positive
 from repro.encoding.entropy import EntropyCodec
 from repro.quantization.uniform import UniformQuantizer
 from repro.utils.validation import ensure_positive
@@ -71,4 +71,5 @@ class LatentCodec:
         container = ByteContainer.from_bytes(payload)
         meta = container.get_json("meta")
         codes = self._entropy.decode_shifted(container["codes"], meta["offset"], meta["shape"])
-        return UniformQuantizer(float(meta["error_bound"])).dequantize(codes)
+        bound = checked_positive(meta["error_bound"], "error_bound")
+        return UniformQuantizer(bound).dequantize(codes)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import struct
+import sys
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -36,6 +37,33 @@ class _Meta(dict):
 
     def __missing__(self, key):
         raise ValueError(f"corrupt payload: missing meta field {key!r}")
+
+
+# Checked readers for meta values: the writers emit JSON ints, positive finite
+# bounds and steps, and lists of non-negative ints, so anything else (a
+# string, a bool, null, a float where an int belongs, a bound <= 0) is damage
+# and reads as ValueError, not as the TypeError or silently wrong value of a
+# bare int() / float() / tuple().
+def checked_int(value: object, what: str) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"corrupt payload: {what} {value!r:.40} is not an integer")
+    return int(value)
+
+
+def checked_positive(value: object, what: str) -> float:
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0 < value < sys.float_info.max):
+        raise ValueError(f"corrupt payload: {what} {value!r:.40} is not a finite number > 0")
+    return float(value)
+
+
+def checked_shape(value: object, what: str) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"corrupt payload: {what} {value!r:.40} is not a list of integers")
+    shape = tuple(checked_int(n, what) for n in value)
+    if any(n < 0 for n in shape):
+        raise ValueError(f"corrupt payload: {what} {shape} has a negative extent")
+    return shape
 
 
 class ByteContainer:

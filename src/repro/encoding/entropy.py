@@ -7,6 +7,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.encoding.container import checked_int, checked_shape
 from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.lossless import LosslessBackend, get_backend
 
@@ -14,8 +15,16 @@ _RAW_HEADER_BYTES = 9  # flag byte + u64 element count
 
 
 def float_section(raw: bytes, dtype=np.float64, shape=None) -> np.ndarray:
-    """``raw`` as ``dtype`` values, reshaped to ``shape`` if given, once its length fits."""
-    dtype = np.dtype(dtype)
+    """``raw`` as ``dtype`` values, reshaped to ``shape`` if given, once the
+    dtype is numeric and the length fits."""
+    try:
+        dtype = np.dtype(dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"corrupt payload: unknown dtype {dtype!r:.40}") from None
+    if dtype.kind not in "biufc":
+        raise ValueError(f"corrupt payload: dtype {dtype} is not numeric")
+    if shape is not None:
+        shape = checked_shape(shape, "section shape")
     if len(raw) % dtype.itemsize:
         raise ValueError(f"corrupt payload: {dtype.name} section length is not a "
                          f"multiple of {dtype.itemsize}")
@@ -90,10 +99,11 @@ class EntropyCodec:
     def decode_shifted(self, stream: bytes, offset: int, shape: Sequence[int]) -> np.ndarray:
         """Invert :meth:`encode_shifted`: ``shape`` codes with ``offset`` added back."""
         codes = self.decode(stream)
+        shape = checked_shape(shape, "code stream shape")
         if codes.size != int(np.prod(shape)):
             raise ValueError(f"corrupt payload: code stream size mismatch ({codes.size} "
                              f"codes for shape {tuple(shape)})")
-        return codes.reshape(shape) + int(offset)
+        return codes.reshape(shape) + checked_int(offset, "shift offset")
 
     def encode_floats(self, values: np.ndarray, dtype=np.float64) -> bytes:
         """``values`` as ``dtype`` in C order, through the backend."""

@@ -1,4 +1,4 @@
-"""Strided N-dimensional convolutions built on im2col."""
+"""Strided N-dimensional convolutions and the GEMM kernel pair they share."""
 
 from __future__ import annotations
 
@@ -14,30 +14,30 @@ from repro.utils.rng import SeedLike, as_rng
 IntOrSeq = Union[int, Sequence[int]]
 
 
-class ConvNd(Module):
-    """N-dimensional convolution over inputs of shape ``(N, C, *spatial)``.
+class _ConvCore(Module):
+    """Arguments, parameters, input checks and the two GEMM kernels of a
+    convolution and its transpose, which are one adjoint pair.
 
-    The forward pass is one same-shaped GEMM per block over im2col patch
-    matrices (``np.matmul`` of the flattened weight against ``(N, C*K, L)``),
-    so a block's output does not depend on what else is in the batch; the
-    backward pass computes weight gradients with the transposed patch matrix
-    and input gradients with :func:`repro.nn.im2col.col2im`.  The patch
-    matrix is kept for ``backward`` only when ``training`` resolves to true.
+    The weight is ``(rows, C_patch, *kernel)`` and ``w_flat`` is its
+    ``(rows, C_patch*K)`` view.  The **patch GEMM** maps a patch-side tensor
+    ``(N, C_patch, *spatial)`` to ``(N, rows, L)``: ``im2col``, then one
+    same-shaped ``np.matmul(w_flat, cols)`` per block.  Its adjoint, the
+    **GEMM scatter**, maps ``(N, rows, L)`` back: ``np.matmul(w_flat.T, g)``,
+    then the ``col2im`` scatter-add.  :class:`ConvNd` runs the patch GEMM
+    forward and the scatter backward; :class:`ConvTransposeNd` runs them the
+    other way round.  Either way a block's result does not depend on what
+    else is in the batch.  What ``backward`` needs is kept only when
+    ``training`` resolves to true.
     """
 
-    def __init__(
-        self,
-        ndim: int,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: IntOrSeq,
-        stride: IntOrSeq = 1,
-        padding: IntOrSeq = 0,
-        bias: bool = True,
-        rng: SeedLike = None,
-    ):
+    _kind = "Conv"
+    _transposed = False
+
+    def __init__(self, ndim: int, in_channels: int, out_channels: int, kernel_size: IntOrSeq,
+                 stride: IntOrSeq = 1, padding: IntOrSeq = 0, bias: bool = True,
+                 rng: SeedLike = None):
         if ndim not in (1, 2, 3):
-            raise ValueError(f"ConvNd supports 1D/2D/3D, got ndim={ndim}")
+            raise ValueError(f"{self._kind}Nd supports 1D/2D/3D, got ndim={ndim}")
         if in_channels <= 0 or out_channels <= 0:
             raise ValueError("channel counts must be positive")
         rng = as_rng(rng)
@@ -48,57 +48,86 @@ class ConvNd(Module):
         self.stride = _normalize(stride, ndim, "stride")
         self.padding = _normalize(padding, ndim, "padding")
 
-        k_elems = int(np.prod(self.kernel_size))
-        fan_in = in_channels * k_elems
-        weight_shape = (out_channels, in_channels) + self.kernel_size
+        fan_in = in_channels * int(np.prod(self.kernel_size))
+        rows, patch = ((in_channels, out_channels) if self._transposed
+                       else (out_channels, in_channels))
+        name = f"{self._kind.lower()}{ndim}d"
         self.weight = Parameter(
-            nn_init.he_normal(weight_shape, fan_in, rng), name=f"conv{ndim}d.weight"
+            nn_init.he_normal((rows, patch) + self.kernel_size, fan_in, rng), name=f"{name}.weight"
         )
         self.bias = (
-            Parameter(nn_init.zeros((out_channels,)), name=f"conv{ndim}d.bias") if bias else None
+            Parameter(nn_init.zeros((out_channels,)), name=f"{name}.bias") if bias else None
         )
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], Tuple[int, ...]]] = None
+        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
 
-    # ------------------------------------------------------------------ api
+    # -------------------------------------------------------------- plumbing
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        label = f"{self._kind}{self.ndim}d"
+        if x.ndim != self.ndim + 2:
+            raise ValueError(
+                f"{label} expected {self.ndim + 2}D input (N, C, *spatial), got shape {x.shape}"
+            )
+        if x.shape[1] != self.in_channels:
+            raise ValueError(
+                f"{label} expected {self.in_channels} input channels, got {x.shape[1]}"
+            )
+        return x
+
+    def _keep(self, training: Optional[bool], tensor: np.ndarray, shape: Tuple[int, ...]) -> None:
+        self._cache = (tensor, shape) if self._resolve_training(training) else None
+
+    def _kept(self) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        return self._cache
+
+    def _add_bias(self, out: np.ndarray) -> None:
+        if self.bias is not None:
+            out += self.bias.value.reshape((1, -1) + (1,) * (out.ndim - 2))
+
+    # --------------------------------------------------------------- kernels
+    def _patch_gemm(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cols, w_flat @ cols)`` for a patch-side ``x``."""
+        cols = im2col(x, self.kernel_size, self.stride, self.padding)
+        return cols, np.matmul(self.weight.value.reshape(self.weight.shape[0], -1), cols)
+
+    def _gemm_scatter(self, g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+        """``col2im(w_flat.T @ g)`` into a patch-side tensor of ``shape``."""
+        cols = np.matmul(self.weight.value.reshape(self.weight.shape[0], -1).T, g)
+        return col2im(cols, shape, self.kernel_size, self.stride, self.padding)
+
+    def _accumulate_grads(self, rows: np.ndarray, cols: np.ndarray, grad: np.ndarray) -> None:
+        """Add ``sum_n rows @ cols.T`` to the weight gradient and the sum of
+        the output gradient ``grad`` over all but its channel axis to the
+        bias gradient."""
+        dw = np.matmul(rows, cols.transpose(0, 2, 1)).sum(axis=0)
+        self.weight.grad += dw.reshape(self.weight.value.shape)
+        if self.bias is not None:
+            self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, grad.ndim)))
+
+
+class ConvNd(_ConvCore):
+    """N-dimensional convolution over inputs of shape ``(N, C, *spatial)``:
+    the patch GEMM forward, the GEMM scatter backward."""
+
     def output_spatial(self, spatial: Sequence[int]) -> Tuple[int, ...]:
         """Spatial output shape for a given spatial input shape."""
         return conv_output_shape(spatial, self.kernel_size, self.stride, self.padding)
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != self.ndim + 2:
-            raise ValueError(
-                f"Conv{self.ndim}d expected {self.ndim + 2}D input (N, C, *spatial), got shape {x.shape}"
-            )
-        if x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv{self.ndim}d expected {self.in_channels} input channels, got {x.shape[1]}"
-            )
-        n = x.shape[0]
+        x = self._check_input(x)
         out_spatial = self.output_spatial(x.shape[2:])
-        cols = im2col(x, self.kernel_size, self.stride, self.padding)
-        w_flat = self.weight.value.reshape(self.out_channels, -1)
-        out = np.matmul(w_flat, cols)
-        if self.bias is not None:
-            out += self.bias.value[None, :, None]
-        self._cache = (cols, x.shape, out_spatial) if self._resolve_training(training) else None
-        return out.reshape((n, self.out_channels) + out_spatial)
+        cols, out = self._patch_gemm(x)
+        self._add_bias(out)
+        self._keep(training, cols, x.shape)
+        return out.reshape((x.shape[0], self.out_channels) + out_spatial)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cols, x_shape, out_spatial = self._cache
-        n = x_shape[0]
-        grad = np.asarray(grad, dtype=np.float64).reshape(n, self.out_channels, -1)
-
-        w_flat = self.weight.value.reshape(self.out_channels, -1)
-        dw = np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.grad += dw.reshape(self.weight.value.shape)
-        if self.bias is not None:
-            self.bias.grad += grad.sum(axis=(0, 2))
-
-        dcols = np.matmul(w_flat.T, grad)
-        return col2im(dcols, x_shape, self.kernel_size, self.stride, self.padding)
+        cols, x_shape = self._kept()
+        grad = np.asarray(grad, dtype=np.float64).reshape(x_shape[0], self.out_channels, -1)
+        self._accumulate_grads(grad, cols, grad)
+        return self._gemm_scatter(grad, x_shape)
 
 
 class Conv2d(ConvNd):

@@ -1,77 +1,35 @@
 """Strided N-dimensional transposed convolutions (a.k.a. deconvolutions).
 
-The forward pass of a transposed convolution is exactly the adjoint of the
-corresponding convolution, so it is implemented with
-:func:`repro.nn.im2col.col2im`, and its backward pass with
-:func:`repro.nn.im2col.im2col`.
+A transposed convolution is the adjoint of the corresponding convolution, so
+it runs :class:`repro.nn.layers.conv.ConvNd`'s two kernels in reverse: the
+GEMM scatter forward and the patch GEMM backward.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import init as nn_init
-from repro.nn.im2col import (
-    _normalize,
-    col2im,
-    conv_transpose_output_shape,
-    im2col,
-)
-from repro.nn.module import Module, Parameter
-from repro.utils.rng import SeedLike, as_rng
-
-IntOrSeq = Union[int, Sequence[int]]
+from repro.nn.im2col import _normalize, conv_transpose_output_shape
+from repro.nn.layers.conv import IntOrSeq, _ConvCore
+from repro.utils.rng import SeedLike
 
 
-class ConvTransposeNd(Module):
-    """N-dimensional transposed convolution over inputs ``(N, C, *spatial)``.
+class ConvTransposeNd(_ConvCore):
+    """N-dimensional transposed convolution over inputs ``(N, C, *spatial)``."""
 
-    The forward pass is one same-shaped GEMM per block (flattened weight
-    against ``(N, C_in, L)``) followed by the ``col2im`` scatter-add, so a
-    block's output does not depend on what else is in the batch.  The input is
-    kept for ``backward`` only when ``training`` resolves to true.
-    """
+    _kind = "ConvTranspose"
+    _transposed = True
 
-    def __init__(
-        self,
-        ndim: int,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: IntOrSeq,
-        stride: IntOrSeq = 1,
-        padding: IntOrSeq = 0,
-        output_padding: IntOrSeq = 0,
-        bias: bool = True,
-        rng: SeedLike = None,
-    ):
-        if ndim not in (1, 2, 3):
-            raise ValueError(f"ConvTransposeNd supports 1D/2D/3D, got ndim={ndim}")
-        rng = as_rng(rng)
-        self.ndim = ndim
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _normalize(kernel_size, ndim, "kernel_size")
-        self.stride = _normalize(stride, ndim, "stride")
-        self.padding = _normalize(padding, ndim, "padding")
+    def __init__(self, ndim: int, in_channels: int, out_channels: int, kernel_size: IntOrSeq,
+                 stride: IntOrSeq = 1, padding: IntOrSeq = 0, output_padding: IntOrSeq = 0,
+                 bias: bool = True, rng: SeedLike = None):
+        super().__init__(ndim, in_channels, out_channels, kernel_size, stride, padding, bias, rng)
         self.output_padding = _normalize(output_padding, ndim, "output_padding")
         for op, st in zip(self.output_padding, self.stride):
             if op >= st and not (op == 0 and st == 1):
                 raise ValueError("output_padding must be smaller than stride")
-
-        k_elems = int(np.prod(self.kernel_size))
-        fan_in = in_channels * k_elems
-        weight_shape = (in_channels, out_channels) + self.kernel_size
-        self.weight = Parameter(
-            nn_init.he_normal(weight_shape, fan_in, rng), name=f"convtranspose{ndim}d.weight"
-        )
-        self.bias = (
-            Parameter(nn_init.zeros((out_channels,)), name=f"convtranspose{ndim}d.bias")
-            if bias
-            else None
-        )
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], Tuple[int, ...]]] = None
 
     def output_spatial(self, spatial: Sequence[int]) -> Tuple[int, ...]:
         """Spatial output shape for a given spatial input shape."""
@@ -80,53 +38,20 @@ class ConvTransposeNd(Module):
         )
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != self.ndim + 2:
-            raise ValueError(
-                f"ConvTranspose{self.ndim}d expected {self.ndim + 2}D input, got shape {x.shape}"
-            )
-        if x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"ConvTranspose{self.ndim}d expected {self.in_channels} input channels, got {x.shape[1]}"
-            )
+        x = self._check_input(x)
         n = x.shape[0]
-        in_spatial = x.shape[2:]
-        out_spatial = self.output_spatial(in_spatial)
-
         x_flat = x.reshape(n, self.in_channels, -1)
-        w_flat = self.weight.value.reshape(self.in_channels, -1)  # (C_in, C_out*prod(k))
-        cols = np.matmul(w_flat.T, x_flat)
-        out = col2im(
-            cols,
-            (n, self.out_channels) + out_spatial,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-        )
-        if self.bias is not None:
-            out += self.bias.value.reshape((1, self.out_channels) + (1,) * self.ndim)
-        self._cache = ((x_flat, (n,) + in_spatial, out_spatial)
-                       if self._resolve_training(training) else None)
+        out = self._gemm_scatter(x_flat, (n, self.out_channels) + self.output_spatial(x.shape[2:]))
+        self._add_bias(out)
+        self._keep(training, x_flat, x.shape)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_flat, n_and_in_spatial, out_spatial = self._cache
-        n = n_and_in_spatial[0]
-        in_spatial = n_and_in_spatial[1:]
+        x_flat, x_shape = self._kept()
         grad = np.asarray(grad, dtype=np.float64)
-
-        if self.bias is not None:
-            self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, 2 + self.ndim)))
-
-        dcols = im2col(grad, self.kernel_size, self.stride, self.padding)
-        w_flat = self.weight.value.reshape(self.in_channels, -1)
-        dw = np.matmul(x_flat, dcols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.grad += dw.reshape(self.weight.value.shape)
-
-        dx_flat = np.matmul(w_flat, dcols)
-        return dx_flat.reshape((n, self.in_channels) + in_spatial)
+        dcols, dx_flat = self._patch_gemm(grad)
+        self._accumulate_grads(x_flat, dcols, grad)
+        return dx_flat.reshape(x_shape)
 
 
 class ConvTranspose2d(ConvTransposeNd):

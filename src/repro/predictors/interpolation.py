@@ -60,6 +60,17 @@ class InterpolationPlan:
         return cls(shape=shape, anchor_stride=stride * 2 if stride > 1 or longest > 1 else 1,
                    passes=passes)
 
+    def targets(self) -> Iterator[Tuple[int, int, Tuple[np.ndarray, ...]]]:
+        """``(stride, dim, mesh)`` for each pass that predicts a point, in
+        traversal order.  ``mesh`` is the ``ij`` meshgrid of the pass's target
+        index vectors, built once: it indexes both the neighbour gather of
+        the prediction and the read / write of the targets.  The passes
+        predict every point off the anchor grid exactly once."""
+        for stride, dim in self.passes:
+            grids = _target_grids(self.shape, stride, dim)
+            if all(g.size for g in grids):
+                yield stride, dim, tuple(np.meshgrid(*grids, indexing="ij"))
+
 
 def _anchor_slices(shape: Tuple[int, ...], stride: int) -> Tuple[slice, ...]:
     return tuple(slice(0, None, stride) for _ in shape)
@@ -79,14 +90,11 @@ def _target_grids(shape: Tuple[int, ...], stride: int, dim: int) -> List[np.ndar
     return grids
 
 
-def _interp_prediction(recon: np.ndarray, idx_grids: List[np.ndarray], dim: int,
+def _interp_prediction(recon: np.ndarray, mesh: Tuple[np.ndarray, ...], dim: int,
                        stride: int) -> np.ndarray:
-    """Cubic/linear interpolation of target points along ``dim`` from ``recon``."""
-    shape = recon.shape
-    n = shape[dim]
-    target_idx = idx_grids[dim]
-
-    mesh = np.meshgrid(*idx_grids, indexing="ij")
+    """Cubic/linear interpolation along ``dim`` from ``recon`` of the target
+    points whose index mesh is ``mesh``."""
+    n = recon.shape[dim]
 
     def take(offset_steps: int) -> Tuple[np.ndarray, np.ndarray]:
         """Values at target ± offset_steps*stride along dim, plus validity mask."""
@@ -146,15 +154,10 @@ def multilevel_interpolation_encode(
 
     code_chunks: List[np.ndarray] = []
     unpred_chunks: List[np.ndarray] = []
-    for stride, dim in plan.passes:
-        idx_grids = _target_grids(data.shape, stride, dim)
-        if any(g.size == 0 for g in idx_grids):
-            continue
-        pred = _interp_prediction(recon, idx_grids, dim, stride)
-        mesh = np.meshgrid(*idx_grids, indexing="ij")
-        target = data[tuple(mesh)]
-        qr = quantize_prediction_errors(target, pred, error_bound, num_bins)
-        recon[tuple(mesh)] = qr.reconstructed
+    for stride, dim, mesh in plan.targets():
+        pred = _interp_prediction(recon, mesh, dim, stride)
+        qr = quantize_prediction_errors(data[mesh], pred, error_bound, num_bins)
+        recon[mesh] = qr.reconstructed
         code_chunks.append(qr.codes.ravel())
         unpred_chunks.append(qr.unpredictable)
 
@@ -186,13 +189,9 @@ def multilevel_interpolation_decode(
     anchor_codes = np.asarray(anchor_codes, dtype=np.int64)
     codes = np.asarray(codes, dtype=np.int64)
     unpredictable = np.asarray(unpredictable, dtype=np.float64)
-    passes = [(stride, dim, _target_grids(shape, stride, dim))
-              for stride, dim in plan.passes]
-    passes = [(stride, dim, grids) for stride, dim, grids in passes
-              if all(g.size for g in grids)]
     if anchor_codes.shape != recon[anchors].shape:
         raise ValueError("corrupt payload: anchor grid does not match the shape")
-    if codes.size != sum(int(np.prod([g.size for g in grids])) for _, _, grids in passes):
+    if codes.size != recon.size - anchor_codes.size:
         raise ValueError("corrupt payload: code stream size does not match the shape")
     if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= num_bins):
         raise ValueError("corrupt payload: quantization code out of range")
@@ -204,15 +203,13 @@ def multilevel_interpolation_decode(
 
     code_pos = 0
     unpred_pos = 0
-    for stride, dim, idx_grids in passes:
-        pred = _interp_prediction(recon, idx_grids, dim, stride)
+    for stride, dim, mesh in plan.targets():
+        pred = _interp_prediction(recon, mesh, dim, stride)
         n_points = pred.size
         chunk = codes[code_pos : code_pos + n_points].reshape(pred.shape)
         code_pos += n_points
         n_unpred = int(np.count_nonzero(chunk == UNPREDICTABLE_CODE))
         u_chunk = unpredictable[unpred_pos : unpred_pos + n_unpred]
         unpred_pos += n_unpred
-        values = dequantize_prediction_errors(chunk, pred, u_chunk, error_bound, num_bins)
-        mesh = np.meshgrid(*idx_grids, indexing="ij")
-        recon[tuple(mesh)] = values
+        recon[mesh] = dequantize_prediction_errors(chunk, pred, u_chunk, error_bound, num_bins)
     return recon

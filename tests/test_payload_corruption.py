@@ -221,7 +221,31 @@ MISMATCHES = [
      lambda raw: _ENTROPY.backend.compress(_ENTROPY.backend.decompress(raw)[:-8]),
      "raw-one-value-short"),
     ("aesz-ae", ("latents",), _narrower_latents, "latents-one-column-narrower"),
+    ("zfp", ("meta",), _meta_edit(lambda m: m["grid"].update(original_shape=[3, 3])),
+     "grid-cropped-to-3x3"),
 ]
+
+# Meta fields present but of the wrong type or out of their range: each
+# must read as corrupt, not leak a TypeError or decode a wrong field.
+MISTYPED = [
+    ("lossless", "dtype", "O"),
+    ("lossless", "dtype", "garbage"),
+    ("zfp", "offset", "abc"),
+    ("zfp", "offset", 1.5),
+    ("szauto", "shape", "x"),
+    ("szauto", "order", 7),
+    ("szauto", "order", 0),
+    ("sz21", "num_bins", None),
+    ("sz21", "abs_error_bound", "x"),
+    ("szinterp", "abs_error_bound", "x"),
+    ("szinterp", "anchor_shape", [None]),
+    ("szinterp", "shape", [-1, 32]),
+    ("ae_b", "latent_size", "4"),
+    ("sz21", "abs_error_bound", -1e-3),
+    ("zfp", "step", -1.0),
+]
+MISMATCHES += [(name, ("meta",), _meta_edit(lambda m, f=field, v=value: m.update({f: v})),
+                f"{field}={value!r}") for name, field, value in MISTYPED]
 
 CASES = [pytest.param(name, path, edit, id=f"{name}:{case}")
          for name, layout in LAYOUTS.items()

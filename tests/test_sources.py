@@ -11,6 +11,7 @@ queue — no external network.
 
 from __future__ import annotations
 
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from concurrent.futures import ThreadPoolExecutor
@@ -146,11 +147,20 @@ class _RangeHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _QuietHTTPServer(ThreadingHTTPServer):
+    """A peer that resets its connection mid-request is a normal disconnect
+    for this origin, not an error to print to stderr."""
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 class RangeServer:
     """An in-process HTTP range server with a FIFO fault-injection queue."""
 
     def __init__(self) -> None:
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _RangeHandler)
+        self.httpd = _QuietHTTPServer(("127.0.0.1", 0), _RangeHandler)
         self.httpd.daemon_threads = True
         self.httpd.files = {}
         self.httpd.faults = []
