@@ -572,11 +572,14 @@ def run_ablation() -> Rows:
         data = held_out(field)
         codes = UniformQuantizer(1e-2 * value_range(data)).quantize(data)
         codes -= codes.min()
-        for variant, codec in {
-                "huffman+zlib": EntropyCodec(backend=ZlibBackend(), use_huffman=True),
-                "zlib-only": EntropyCodec(backend=ZlibBackend(), use_huffman=False),
-                "huffman-only": EntropyCodec(backend=StoreBackend(), use_huffman=True)}.items():
-            add("entropy_stage", field, variant, codec.encode(codes), data)
+        # zlib-only skips the Huffman stage: a raw (flag 0) stream of the
+        # int64 codes, which EntropyCodec reads but does not write.
+        raw = ZlibBackend().compress(np.ascontiguousarray(codes, dtype=np.int64).tobytes())
+        for variant, payload in {
+                "huffman+zlib": EntropyCodec(backend=ZlibBackend()).encode(codes),
+                "zlib-only": b"\x00" + np.uint64(codes.size).tobytes() + raw,
+                "huffman-only": EntropyCodec(backend=StoreBackend()).encode(codes)}.items():
+            add("entropy_stage", field, variant, payload, data)
     for field in AB_FIELDS:
         data, base = held_out(field), aesz(field)
         for variant, use_mean in {"with_mean_lorenzo": True, "without_mean_lorenzo": False}.items():

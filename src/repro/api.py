@@ -45,7 +45,7 @@ from repro.encoding.container import (
     GridIndex,
     build_chunked_archive,
     build_grid_archive,
-    grid_shape_of,
+    grid_tile_slices,
     is_archive,
     is_grid_archive,
     load_index,
@@ -566,15 +566,8 @@ def _compress_chunked(source, codec: CodecArg, bound: BoundArg, *,
             else np.asarray(chunk)
 
     if chunk_shape is not None:
-        grid_shape = grid_shape_of(src.shape, tile_dims)
-
         def _tile_jobs():
-            # np.ndindex enumerates the grid in row-major order, which is the
-            # order the v3 index table requires (and yields one empty tuple
-            # for a 0-d field — a single tile holding the scalar).
-            for coords in np.ndindex(*grid_shape):
-                sl = tuple(slice(c * cs, min((c + 1) * cs, d))
-                           for c, cs, d in zip(coords, tile_dims, src.shape))
+            for sl in grid_tile_slices(src.shape, tile_dims):
                 yield (_cast(src[sl]), job_codec, codec_options, chunk_bound,
                        embed_model)
 

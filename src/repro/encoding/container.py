@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 import sys
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Callable, ClassVar, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from functools import cached_property
+from typing import (Callable, ClassVar, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Type, TypeVar, Union)
 
 import numpy as np
 
@@ -209,8 +212,9 @@ class _Envelope:
     ``tile_shape(i)`` / ``region_tiles(bounds)`` / ``tile_key(i)`` /
     ``check_tile(i, raw)`` / ``tile_bytes(blob, i)`` / ``tile_archive(i,
     read_at)`` — so the envelope-version decision never leaves this module.
-    A version contributes its geometry (``n_tiles``, ``tile_slices``,
-    ``_tiles_in``) and where a tile's bytes live.
+    A version states its geometry as ``edges`` alone, plus where a tile's
+    bytes live; the tiles are the cells of that rectilinear grid, numbered
+    row-major.
     """
 
     codec: str
@@ -223,23 +227,50 @@ class _Envelope:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return math.prod(self.shape)
 
-    @property
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-axis tile boundaries: along axis ``ax``, tile row ``c`` spans
+        ``edges[ax][c]:edges[ax][c + 1]``."""
+        raise NotImplementedError
+
+    @cached_property
+    def _tiles_per_axis(self) -> Tuple[int, ...]:
+        return tuple(len(e) - 1 for e in self.edges)
+
+    @cached_property
+    def _axis_slices(self) -> Tuple[Tuple[slice, ...], ...]:
+        return tuple(tuple(map(slice, e, e[1:])) for e in self.edges)
+
+    @cached_property
     def n_tiles(self) -> int:
-        raise NotImplementedError
-
-    def tile_slices(self, i: int) -> Tuple[slice, ...]:
-        """Tile ``i``'s extent in full-field coordinates, one slice per axis."""
-        raise NotImplementedError
-
-    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
-        raise NotImplementedError
+        return math.prod(self._tiles_per_axis)
 
     def _check_tile_id(self, i: int) -> None:
         if not 0 <= i < self.n_tiles:
             raise IndexError(f"{self._NOUN} index {i} out of range "
                              f"({self.n_tiles} {self._NOUN}s)")
+
+    def tile_coords(self, i: int) -> Tuple[int, ...]:
+        """Tile ``i``'s per-axis grid coordinates (row-major flat order)."""
+        self._check_tile_id(i)
+        coords = []
+        for n in reversed(self._tiles_per_axis):
+            i, c = divmod(i, n)
+            coords.append(c)
+        coords.reverse()
+        return tuple(coords)
+
+    def tile_slices(self, i: int) -> Tuple[slice, ...]:
+        """Tile ``i``'s extent in full-field coordinates, one slice per axis."""
+        self._check_tile_id(i)
+        out = []
+        for axis in reversed(self._axis_slices):  # the last axis varies fastest
+            i, c = divmod(i, len(axis))
+            out.append(axis[c])
+        out.reverse()
+        return tuple(out)
 
     def tile_shape(self, i: int) -> Tuple[int, ...]:
         return tuple(s.stop - s.start for s in self.tile_slices(i))
@@ -249,8 +280,8 @@ class _Envelope:
         return {}
 
     def region_tiles(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
-        """Indices of the tiles intersecting ``bounds``, in storage order
-        (row-major over a v3 grid).
+        """Indices of the tiles intersecting ``bounds``, ascending (storage
+        order).
 
         ``bounds`` must be normalized (one ``(start, stop)`` pair per axis,
         ``0 <= start <= stop <= dim``); an empty axis selects no tiles.
@@ -258,11 +289,14 @@ class _Envelope:
         if len(bounds) != len(self.shape):
             raise ValueError(
                 f"region has {len(bounds)} axes, archive field has {len(self.shape)}")
-        if any(b0 >= b1 for b0, b1 in bounds):
-            return []
-        if not self.shape:
-            return [0]
-        return self._tiles_in(bounds)
+        ids = [0]
+        for edges, n, (b0, b1) in zip(self.edges, self._tiles_per_axis, bounds):
+            if b0 >= b1:
+                return []
+            if n > 1:  # a one-tile axis keeps the ids as they are
+                axis = range(bisect_right(edges, b0) - 1, bisect_left(edges, b1))
+                ids = [i * n + c for i in ids for c in axis]
+        return ids
 
 
 @dataclass
@@ -281,15 +315,9 @@ class Archive(_Envelope):
     kind: ClassVar[str] = "single-shot"
 
     # -------------------------------------------------------- tile protocol
-    @property
-    def n_tiles(self) -> int:
-        return 1
-
-    def tile_slices(self, i: int) -> Tuple[slice, ...]:
-        return tuple(slice(0, dim) for dim in self.shape)
-
-    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
-        return [0]
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple((0, dim) for dim in self.shape)
 
     def tile_key(self, i: int) -> Tuple[int, ...]:
         """Cache key of the one tile; the parse already CRC-checked its bytes."""
@@ -480,17 +508,24 @@ def _parse_front(data: bytes) -> Tuple[int, dict, int]:
     return version, header, FRONT_PREFIX + hlen
 
 
+@contextmanager
+def _malformed_header() -> Iterator[None]:
+    """Report a header value of the wrong kind or a missing key as corrupt."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt archive: malformed header ({exc})") from None
+
+
 def _common_header_fields(header: dict) -> dict:
     """The constructor fields every envelope version shares, from a header dict."""
-    try:
+    with _malformed_header():
         bound = header["bound"]
         fields = dict(codec=str(header["codec"]),
                       shape=tuple(int(s) for s in header["shape"]),
                       dtype=str(header["dtype"]), bound_mode=str(bound["mode"]),
                       bound_value=float(bound["value"]),
                       meta=header.get("meta", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"corrupt archive: malformed header ({exc})") from None
     if not isinstance(fields["meta"], dict):
         raise ValueError("corrupt archive: header meta is not a JSON object")
     return fields
@@ -518,11 +553,7 @@ def _unsupported_version(version: int) -> ValueError:
         f"{GRID_ARCHIVE_VERSION})")
 
 
-def _parse_tile_table(section: Mapping) -> Tuple[Tuple[int, ...], ...]:
-    """The ``(offsets, lengths, crcs)`` arrays of a v2/v3 index section."""
-    return (tuple(int(o) for o in section["offsets"]),
-            tuple(int(n) for n in section["lengths"]),
-            tuple(int(c) for c in section["crcs"]))
+_Index = TypeVar("_Index", bound="_TileTable")
 
 
 @dataclass
@@ -538,9 +569,10 @@ class _TileTable(_Envelope):
     crcs: Tuple[int, ...]
     data_start: int              # absolute byte offset of the first tile blob
 
-    @property
-    def n_tiles(self) -> int:
-        return len(self.offsets)
+    _VERSION: ClassVar[int]      # the envelope version this class parses
+    _SECTION: ClassVar[str]      # the header key holding geometry + tile table
+    _NOT_THIS: ClassVar[str]     # from_bytes's message for another version
+    _COUNT_ERROR: ClassVar[str]  # when the table and the geometry disagree
 
     def check_tile(self, i: int, raw: bytes) -> bytes:
         """Validate tile ``i``'s bytes (length + CRC-32) as read from storage."""
@@ -582,6 +614,43 @@ class _TileTable(_Envelope):
         """The content token an entity tag hashes: every tile's identity."""
         return (tuple(self.offsets), tuple(self.lengths), tuple(self.crcs))
 
+    # -------------------------------------------------------------- parse
+    @classmethod
+    def _geometry(cls, section: Mapping, shape: Tuple[int, ...]) -> dict:
+        """This version's geometry fields, read and checked from its header
+        ``section``."""
+        raise NotImplementedError
+
+    @classmethod
+    def from_header(cls: Type[_Index], header: dict, data_start: int,
+                    total_size: int) -> _Index:
+        """Build (and fully validate) an index from a parsed front header.
+
+        ``total_size`` is the archive's complete byte length — for an
+        in-memory blob ``len(blob)``, for an on-disk archive the file size —
+        so index validation never needs the tile bytes themselves.
+        """
+        fields = _common_header_fields(header)
+        with _malformed_header():
+            section = header[cls._SECTION]
+            offsets, lengths, crcs = (tuple(int(v) for v in section[key])
+                                      for key in ("offsets", "lengths", "crcs"))
+        index = cls(**fields, **cls._geometry(section, fields["shape"]),
+                    offsets=offsets, lengths=lengths, crcs=crcs, data_start=data_start)
+        if not 0 < len(offsets) == len(lengths) == len(crcs) == index.n_tiles:
+            raise ValueError("corrupt archive: " + cls._COUNT_ERROR.format(
+                index=index, found=len(offsets)))
+        _check_contiguous(offsets, lengths, data_start, total_size, cls._NOUN)
+        return index
+
+    @classmethod
+    def from_bytes(cls: Type[_Index], data: bytes) -> _Index:
+        data = bytes(data)
+        version, header, data_start = parse_front(data)
+        if version != cls._VERSION:
+            raise ValueError(cls._NOT_THIS.format(version=version))
+        return cls.from_header(header, data_start, len(data))
+
 
 def _build_tiled_archive(version: int, section: str, geometry: dict,
                          blobs: Sequence[bytes], *, codec: str,
@@ -610,6 +679,22 @@ def _build_tiled_archive(version: int, section: str, geometry: dict,
 def grid_shape_of(shape: Sequence[int], chunk_shape: Sequence[int]) -> Tuple[int, ...]:
     """Tiles per axis for a chunk grid: ``ceil(shape[ax] / chunk_shape[ax])``."""
     return tuple(-(-int(d) // int(c)) for d, c in zip(shape, chunk_shape))
+
+
+def grid_edges(shape: Sequence[int], chunk_shape: Sequence[int]
+               ) -> Tuple[Tuple[int, ...], ...]:
+    """Per-axis tile boundaries of a chunk grid: every ``chunk_shape[ax]``
+    from 0, then the field's edge (so edge tiles are smaller)."""
+    return tuple(tuple(range(0, int(d), int(c))) + (int(d),)
+                 for d, c in zip(shape, chunk_shape))
+
+
+def grid_tile_slices(shape: Sequence[int], chunk_shape: Sequence[int]
+                     ) -> Iterator[Tuple[slice, ...]]:
+    """Each tile of a chunk grid as full-field slices, in row-major (index
+    table) order; a 0-d field is one tile, ``()``."""
+    return itertools.product(*(map(slice, e, e[1:])
+                               for e in grid_edges(shape, chunk_shape)))
 
 # Layout (little endian):
 #   magic "RPRA" | u16 version=2 | u32 header_len | header JSON | chunk blobs
@@ -646,8 +731,9 @@ class ChunkedIndex(_TileTable):
     Mirrors :class:`Archive`'s header attributes (``codec`` / ``shape`` /
     ``dtype`` / ``bound_mode`` / ``bound_value`` / ``meta``) so inspection code
     can treat both formats uniformly, and adds the chunk index table.  Under
-    the tile protocol it is a degenerate 1-d grid whose tiles are the axis-0
-    slabs ``starts[i]:starts[i+1]``.
+    the tile protocol it is a grid split along axis 0 only, whose tiles are
+    the slabs ``starts[i]:starts[i+1]`` — ragged when an iterator source
+    flushed a short chunk, so not a uniform :class:`GridIndex`.
     """
 
     axis: int
@@ -657,23 +743,17 @@ class ChunkedIndex(_TileTable):
 
     kind: ClassVar[str] = "chunked, axis-0 slabs"
     _NOUN: ClassVar[str] = "chunk"
+    _VERSION: ClassVar[int] = CHUNKED_ARCHIVE_VERSION
+    _SECTION: ClassVar[str] = "chunks"
+    _NOT_THIS: ClassVar[str] = ("not a chunked archive (version {version}); "
+                                "use Archive.from_bytes")
+    _COUNT_ERROR: ClassVar[str] = "inconsistent chunk index table"
 
-    def tile_slices(self, i: int) -> Tuple[slice, ...]:
-        if not self.shape:  # 0-d field: one chunk holding the scalar itself
-            return ()
-        return ((slice(self.starts[i], self.starts[i + 1]),)
-                + tuple(slice(0, dim) for dim in self.shape[1:]))
-
-    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
-        b0, b1 = bounds[0]
-        first = max(0, bisect_right(self.starts, b0) - 1)
-        out = []
-        for i in range(first, self.n_tiles):
-            if self.starts[i] >= b1:
-                break
-            if self.starts[i + 1] > b0:  # skip empty chunks touching the edge
-                out.append(i)
-        return out
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, ...], ...]:
+        # A 0-d field has no axes: its one chunk holds the scalar itself.
+        return tuple(self.starts if ax == 0 else (0, dim)
+                     for ax, dim in enumerate(self.shape))
 
     def layout(self) -> dict:
         return {"axis": self.axis}
@@ -684,28 +764,13 @@ class ChunkedIndex(_TileTable):
         return (f"axis {self.axis}, {rows} rows per chunk, "
                 f"{self.n_tiles} chunks")
 
-    # -------------------------------------------------------------- parse
     @classmethod
-    def from_header(cls, header: dict, data_start: int,
-                    total_size: int) -> "ChunkedIndex":
-        """Build (and fully validate) an index from a parsed front header.
-
-        ``total_size`` is the archive's complete byte length — for an
-        in-memory blob ``len(blob)``, for an on-disk archive the file size —
-        so index validation never needs the body bytes themselves.
-        """
-        fields = _common_header_fields(header)
-        shape = fields["shape"]
-        try:
-            chunks = header["chunks"]
-            axis = int(chunks["axis"])
-            starts = tuple(int(s) for s in chunks["starts"])
-            offsets, lengths, crcs = _parse_tile_table(chunks)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt archive: malformed header ({exc})") from None
-        n = len(offsets)
-        if n == 0 or len(lengths) != n or len(crcs) != n or len(starts) != n + 1:
-            raise ValueError("corrupt archive: inconsistent chunk index table")
+    def _geometry(cls, section: Mapping, shape: Tuple[int, ...]) -> dict:
+        with _malformed_header():
+            axis = int(section["axis"])
+            starts = tuple(int(s) for s in section["starts"])
+        if len(starts) < 2 or (not shape and len(starts) != 2):  # 0-d: one chunk
+            raise ValueError(f"corrupt archive: {cls._COUNT_ERROR}")
         if axis != 0:
             # The writer only emits axis-0 slabs; anything else would be
             # silently misplaced by the axis-0 reassembly paths.
@@ -713,24 +778,11 @@ class ChunkedIndex(_TileTable):
                 f"unsupported chunk axis {axis} (this build reads axis-0 "
                 f"chunked archives)"
             )
-        if any(starts[i] > starts[i + 1] for i in range(n)) or starts[0] != 0:
+        if any(a > b for a, b in zip(starts, starts[1:])) or starts[0] != 0:
             raise ValueError("corrupt archive: non-monotonic chunk starts")
-        expected_rows = shape[axis] if shape else 1
-        if starts[-1] != expected_rows:
+        if starts[-1] != (shape[axis] if shape else 1):
             raise ValueError("corrupt archive: chunk starts do not cover the field")
-        _check_contiguous(offsets, lengths, data_start, total_size, "chunk")
-        return cls(**fields, axis=axis, starts=starts, offsets=offsets,
-                   lengths=lengths, crcs=crcs, data_start=data_start)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ChunkedIndex":
-        data = bytes(data)
-        version, header, data_start = parse_front(data)
-        if version != CHUNKED_ARCHIVE_VERSION:
-            raise ValueError(
-                f"not a chunked archive (version {version}); use Archive.from_bytes"
-            )
-        return cls.from_header(header, data_start, len(data))
+        return {"axis": axis, "starts": starts}
 
 
 def build_chunked_archive(*, codec: str, shape: Tuple[int, ...], dtype: str,
@@ -786,22 +838,22 @@ class GridIndex(_TileTable):
     version: int = GRID_ARCHIVE_VERSION
 
     kind: ClassVar[str] = "N-d chunk grid"
+    _VERSION: ClassVar[int] = GRID_ARCHIVE_VERSION
+    _SECTION: ClassVar[str] = "grid"
+    _NOT_THIS: ClassVar[str] = ("not a grid archive (version {version}); use "
+                                "Archive.from_bytes or ChunkedIndex.from_bytes")
+    _COUNT_ERROR: ClassVar[str] = ("grid index has {found} tiles, grid shape "
+                                   "{index.grid_shape} needs {index.n_tiles}")
 
-    def tile_coords(self, i: int) -> Tuple[int, ...]:
-        """Tile ``i``'s per-axis grid coordinates (row-major flat order)."""
-        self._check_tile_id(i)
-        return tuple(int(c) for c in np.unravel_index(i, self.grid_shape))
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, ...], ...]:
+        return grid_edges(self.shape, self.chunk_shape)
 
-    def tile_slices(self, i: int) -> Tuple[slice, ...]:
-        return tuple(
-            slice(c * cs, min((c + 1) * cs, dim))
-            for c, cs, dim in zip(self.tile_coords(i), self.chunk_shape, self.shape))
-
-    def _tiles_in(self, bounds: Sequence[Tuple[int, int]]) -> List[int]:
-        axis_ranges = [range(b0 // cs, -(-b1 // cs))
-                       for (b0, b1), cs in zip(bounds, self.chunk_shape)]
-        return [int(np.ravel_multi_index(coords, self.grid_shape))
-                for coords in itertools.product(*axis_ranges)]
+    @cached_property
+    def _tiles_per_axis(self) -> Tuple[int, ...]:
+        # The same counts ``edges`` gives, without building them: a header
+        # naming a huge grid then fails its tile-count check allocation-free.
+        return self.grid_shape
 
     def layout(self) -> dict:
         return {"chunk_shape": list(self.chunk_shape),
@@ -813,51 +865,18 @@ class GridIndex(_TileTable):
                 f"{'x'.join(str(g) for g in self.grid_shape)}, "
                 f"{self.n_tiles} tiles")
 
-    # -------------------------------------------------------------- parse
     @classmethod
-    def from_header(cls, header: dict, data_start: int,
-                    total_size: int) -> "GridIndex":
-        """Build (and fully validate) an index from a parsed front header.
-
-        ``total_size`` is the archive's complete byte length — for an
-        in-memory blob ``len(blob)``, for an on-disk archive the file size —
-        so index validation never needs the tile bytes themselves.
-        """
-        fields = _common_header_fields(header)
-        shape = fields["shape"]
-        try:
-            grid = header["grid"]
-            chunk_shape = tuple(int(c) for c in grid["chunk_shape"])
-            offsets, lengths, crcs = _parse_tile_table(grid)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt archive: malformed header ({exc})") from None
+    def _geometry(cls, section: Mapping, shape: Tuple[int, ...]) -> dict:
+        with _malformed_header():
+            chunk_shape = tuple(int(c) for c in section["chunk_shape"])
         if len(chunk_shape) != len(shape):
             raise ValueError(
                 f"corrupt archive: chunk_shape has {len(chunk_shape)} axes, "
                 f"shape has {len(shape)}")
         if any(c < 1 for c in chunk_shape) or any(d < 1 for d in shape):
             raise ValueError("corrupt archive: non-positive grid dimensions")
-        grid_shape = grid_shape_of(shape, chunk_shape)
-        n = int(np.prod(grid_shape, dtype=np.int64)) if grid_shape else 1
-        if len(offsets) != n or len(lengths) != n or len(crcs) != n:
-            raise ValueError(
-                f"corrupt archive: grid index has {len(offsets)} tiles, "
-                f"grid shape {grid_shape} needs {n}")
-        _check_contiguous(offsets, lengths, data_start, total_size, "tile")
-        return cls(**fields, chunk_shape=chunk_shape, grid_shape=grid_shape,
-                   offsets=offsets, lengths=lengths, crcs=crcs,
-                   data_start=data_start)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GridIndex":
-        data = bytes(data)
-        version, header, data_start = parse_front(data)
-        if version != GRID_ARCHIVE_VERSION:
-            raise ValueError(
-                f"not a grid archive (version {version}); use Archive.from_bytes "
-                f"or ChunkedIndex.from_bytes"
-            )
-        return cls.from_header(header, data_start, len(data))
+        return {"chunk_shape": chunk_shape,
+                "grid_shape": grid_shape_of(shape, chunk_shape)}
 
 
 def load_index(reader) -> Union[Archive, ChunkedIndex, GridIndex]:
@@ -886,7 +905,7 @@ def build_grid_archive(*, codec: str, shape: Tuple[int, ...], dtype: str,
     """Assemble a version-3 grid archive from per-tile version-1 blobs.
 
     ``tile_blobs`` must enumerate the grid in row-major order (the order
-    ``numpy.ndindex(grid_shape)`` yields).
+    :func:`grid_tile_slices` yields).
     """
     shape = tuple(int(s) for s in shape)
     chunk_shape = tuple(int(c) for c in chunk_shape)
@@ -897,7 +916,7 @@ def build_grid_archive(*, codec: str, shape: Tuple[int, ...], dtype: str,
     if any(c < 1 for c in chunk_shape) or any(d < 1 for d in shape):
         raise ValueError("grid archives need positive shape and chunk_shape entries")
     grid_shape = grid_shape_of(shape, chunk_shape)
-    n = int(np.prod(grid_shape, dtype=np.int64)) if grid_shape else 1
+    n = math.prod(grid_shape)
     if len(tile_blobs) != n:
         raise ValueError(
             f"grid shape {grid_shape} needs {n} tiles, got {len(tile_blobs)}")

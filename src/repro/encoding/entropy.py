@@ -46,13 +46,10 @@ class EntropyCodec:
     backend:
         Lossless byte backend, or its name, applied after Huffman coding
         (``"zlib"``/``"zstd"`` by default, per "Substitutions" in docs/architecture.md).
-    use_huffman:
-        Disable to study the contribution of the Huffman stage in ablations.
     """
 
-    def __init__(self, backend: Union[LosslessBackend, str] = "zlib", use_huffman: bool = True):
+    def __init__(self, backend: Union[LosslessBackend, str] = "zlib"):
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
-        self.use_huffman = bool(use_huffman)
         self._huffman = HuffmanCodec()
 
     def encode(self, codes: np.ndarray) -> bytes:
@@ -60,13 +57,7 @@ class EntropyCodec:
         codes = np.ascontiguousarray(codes)
         if codes.size and not np.issubdtype(codes.dtype, np.integer):
             raise TypeError("EntropyCodec encodes integer arrays")
-        if self.use_huffman:
-            stage1 = self._huffman.encode(codes)
-            flag = b"\x01"
-        else:
-            stage1 = np.asarray(codes, dtype=np.int64).tobytes()
-            flag = b"\x00" + np.uint64(codes.size).tobytes()
-        return flag + self.backend.compress(stage1)
+        return b"\x01" + self.backend.compress(self._huffman.encode(codes))
 
     def decode(self, data: bytes) -> np.ndarray:
         """Invert :meth:`encode`; returns an ``int64`` array.
@@ -82,6 +73,9 @@ class EntropyCodec:
             return self._huffman.decode(stage1)
         if flag != 0:
             raise ValueError(f"corrupt entropy stream: unknown flag byte {flag}")
+        # Flag 0 is a raw stream: u64 count, then int64 codes through the
+        # backend.  Nothing in this package writes it; payload bytes come from
+        # outside the program, so it is still read and checked.
         if len(data) < _RAW_HEADER_BYTES:
             raise ValueError("corrupt entropy stream: truncated raw header")
         n = int(np.frombuffer(data[1:_RAW_HEADER_BYTES], dtype=np.uint64)[0])

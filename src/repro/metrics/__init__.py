@@ -2,7 +2,6 @@
 
 from repro.metrics.error import (
     psnr,
-    nrmse,
     mse,
     max_abs_error,
     max_rel_error,
@@ -19,7 +18,6 @@ from repro.metrics.verification import verify_error_bound, BoundViolation
 
 __all__ = [
     "psnr",
-    "nrmse",
     "mse",
     "max_abs_error",
     "max_rel_error",

@@ -47,16 +47,6 @@ def prediction_psnr(original: np.ndarray, predicted: np.ndarray) -> float:
     return psnr(original, predicted)
 
 
-def nrmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Root-mean-square error normalized by the value range."""
-    original, reconstructed = _check_pair(original, reconstructed)
-    vrange = value_range(original)
-    rmse = float(np.sqrt(mse(original, reconstructed)))
-    if vrange == 0.0:
-        return 0.0 if rmse == 0.0 else float("inf")
-    return rmse / vrange
-
-
 def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Maximum pointwise absolute error."""
     original, reconstructed = _check_pair(original, reconstructed)

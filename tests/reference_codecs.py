@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.compressors import sz21, szinterp
 from repro.compressors.sz21 import FLAG_LORENZO, FLAG_REGRESSION, SZ21Compressor
-from repro.encoding import huffman
+from repro.encoding import ZlibBackend, huffman
 from repro.predictors.interpolation import (
     InterpolationEncoding,
     InterpolationPlan,
@@ -302,6 +302,20 @@ def pack_codes(sym_codes: np.ndarray, sym_lens: np.ndarray) -> Tuple[bytes, int]
     if nacc:
         out.append((acc << (8 - nacc)) & 0xFF)
     return bytes(out), total_bits
+
+
+# ---------------------------------------------------------------------------
+# Entropy streams: the raw form, with no Huffman stage
+# ---------------------------------------------------------------------------
+
+def raw_entropy_stream(codes, backend=None) -> bytes:
+    """An entropy stream without the Huffman stage (flag 0): u64 count, then
+    the int64 codes through ``backend`` (zlib by default).  ``EntropyCodec``
+    reads this form but never writes it; unlike a Huffman stream it can carry
+    negative codes."""
+    backend = backend if backend is not None else ZlibBackend()
+    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    return b"\x00" + np.uint64(codes.size).tobytes() + backend.compress(codes.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.metrics import (
     max_abs_error,
     max_rel_error,
     mse,
-    nrmse,
     psnr,
     rate_distortion_sweep,
     verify_error_bound,
@@ -42,11 +41,6 @@ class TestErrorMetrics:
         small = psnr(data, data + 1e-4 * rng.normal(size=1000))
         large = psnr(data, data + 1e-2 * rng.normal(size=1000))
         assert small > large
-
-    def test_nrmse_normalized_by_range(self):
-        orig = np.array([0.0, 10.0])
-        rec = np.array([1.0, 10.0])
-        assert nrmse(orig, rec) == pytest.approx(np.sqrt(0.5) / 10.0)
 
     def test_max_abs_error(self):
         assert max_abs_error(np.array([1.0, 2.0]), np.array([1.5, 1.0])) == pytest.approx(1.0)

@@ -28,7 +28,7 @@ ALLOWED = {
         "MeanPredictor", "LorenzoPredictor", "LinearQuantizer",
         "second_order_lorenzo_predict", "default_error_bounds",
         "write_csv", "save_series_csv", "save_f64", "load_f64",
-        "nrmse", "Sigmoid", "Identity", "BatchNorm", "L1Loss", "SGD",
+        "Sigmoid", "Identity", "BatchNorm", "L1Loss", "SGD",
         "save_module", "load_module_state", "guard_specs"), _PENDING),
 }
 

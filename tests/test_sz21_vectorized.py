@@ -20,7 +20,7 @@ import pytest
 
 import reference_codecs
 import repro
-from reference_codecs import reference_paths
+from reference_codecs import raw_entropy_stream, reference_paths
 from repro.bounds import Abs, PtwRel, Rel
 from repro.compressors.sz21 import (
     SZ21Compressor,
@@ -29,7 +29,6 @@ from repro.compressors.sz21 import (
 )
 from repro.compressors.szinterp import SZInterpCompressor
 from repro.encoding.container import ByteContainer
-from repro.encoding.entropy import EntropyCodec
 from repro.encoding.huffman import HuffmanCodec, _pack_codes
 from repro.predictors.interpolation import multilevel_interpolation_encode
 from repro.predictors.lorenzo import _batched_lorenzo_predict, lorenzo_predict
@@ -188,8 +187,8 @@ def _recoded(comp, payload: bytes, section: str, edit) -> bytes:
                                dtype=np.float64)
         container[section] = comp._entropy.backend.compress(edit(values.copy()).tobytes())
     else:
-        raw = EntropyCodec(backend=comp._entropy.backend, use_huffman=False)
-        container[section] = raw.encode(edit(comp._entropy.decode(container[section])))
+        container[section] = raw_entropy_stream(
+            edit(comp._entropy.decode(container[section])), comp._entropy.backend)
     return container.to_bytes()
 
 

@@ -11,6 +11,9 @@ is exercised for v1, v2 and v3 alike.
 
 from __future__ import annotations
 
+import itertools
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro import Abs, api
 from repro.encoding.container import Archive
 from repro.store import ArchiveStore
 
+SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "20260730"))
 EB = 1e-4  # float32 spacing is ~1e-7 near 1 (cast is safe), ~1e-3 near 1e4 (not)
 
 
@@ -157,3 +161,65 @@ def test_single_shot_archive_is_one_tile(data):
     with pytest.raises(IndexError):
         index.tile_key(1)
     assert np.array_equal(repro.read_region(blob, ()), np.asarray(data))
+
+
+# ---------------------------------------------------------------------------
+# Geometry property: whatever version wrote it, the tiles partition the field
+# and region_tiles finds exactly the tiles a region touches.
+# ---------------------------------------------------------------------------
+
+GEOMETRY_KINDS = ["v1", "v2-iter", "v2-slab", "v3"]
+
+
+def _geometry_blob(rng, kind, data):
+    if kind == "v1":
+        return repro.compress(data, codec="lossless")
+    if kind == "v2-iter":
+        # Uneven blocks flush early in the rechunker, so ``starts`` are ragged.
+        cuts = np.sort(rng.integers(0, data.shape[0] + 1, int(rng.integers(1, 6))))
+        blocks = np.split(data, cuts)
+        row = max(1, data[0].size)
+        return repro.compress_chunked(
+            iter(blocks), codec="lossless",
+            chunk_size=row * int(rng.integers(1, data.shape[0] + 1)))
+    if kind == "v2-slab":
+        return repro.compress_chunked(data, codec="lossless",
+                                      chunk_size=int(rng.integers(1, data.size + 1)))
+    chunk_shape = tuple(int(rng.integers(1, d + 1)) for d in data.shape)
+    return repro.compress_chunked(data, codec="lossless", chunk_shape=chunk_shape)
+
+
+def _random_bounds(rng, shape):
+    bounds = []
+    for dim in shape:
+        a, b = sorted(int(v) for v in rng.integers(0, dim + 1, 2))
+        bounds.append((a, b))
+    return tuple(bounds)
+
+
+def _overlaps(tile, bounds):
+    return all(max(s.start, b0) < min(s.stop, b1) for s, (b0, b1) in zip(tile, bounds))
+
+
+@pytest.mark.parametrize("kind", GEOMETRY_KINDS)
+def test_tile_geometry_partitions_the_field_and_answers_regions(kind):
+    """Tiles cover every element once; region_tiles matches a brute force."""
+    rng = np.random.default_rng([SEED, GEOMETRY_KINDS.index(kind)])
+    for _ in range(30):
+        ndim = int(rng.integers(0 if kind in ("v1", "v2-slab", "v3") else 1, 5))
+        shape = tuple(int(rng.integers(1, 9)) for _ in range(ndim))
+        data = rng.standard_normal(shape)
+        index = repro.read_header(_geometry_blob(rng, kind, data))
+        assert index.shape == shape
+        slices = [index.tile_slices(i) for i in range(index.n_tiles)]
+        covered = np.zeros(shape, dtype=np.int64)
+        for i, tile in enumerate(slices):
+            assert index.tile_shape(i) == covered[tile].shape
+            covered[tile] += 1
+        assert np.all(covered == 1), (kind, shape, slices)
+        full = tuple((0, d) for d in shape)
+        assert index.region_tiles(full) == list(range(index.n_tiles))
+        for bounds in itertools.chain([full], (_random_bounds(rng, shape)
+                                               for _ in range(20))):
+            expected = [i for i, tile in enumerate(slices) if _overlaps(tile, bounds)]
+            assert index.region_tiles(bounds) == expected, (kind, shape, bounds)
