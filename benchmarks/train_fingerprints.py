@@ -1,7 +1,13 @@
 """Print each autoencoder's model fingerprint after two fixed-seed epochs.
 
-A refactor of the NN layers that claims to be numerics-neutral must leave
-every line of this output unchanged: run it on both trees and diff.
+Two uses, one output of seven lines:
+
+* Determinism: two runs on one tree print the same lines (CI runs it twice
+  and diffs the outputs).
+* Numerics: a refactor of the NN layers that claims to be numerics-neutral
+  must leave every line unchanged: run it on both trees and diff.  The lines
+  changed once by design, when training moved to float32 on a
+  batch-innermost conv layout; inference numerics did not move with them.
 
     PYTHONPATH=src python benchmarks/train_fingerprints.py
 

@@ -19,7 +19,7 @@ from repro.autoencoders.base import BlockAutoencoder
 from repro.autoencoders.config import AutoencoderConfig
 from repro.nn.layers.activations import LeakyReLU, Tanh
 from repro.nn.layers.dense import Dense
-from repro.nn.module import Module
+from repro.nn.module import Module, as_compute
 from repro.nn.network import Sequential
 from repro.utils.rng import spawn_rngs
 
@@ -28,7 +28,7 @@ class _FlattenChannel(Module):
     """(N, 1, L) -> (N, L) adapter so the dense stack matches the block interface."""
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -43,7 +43,7 @@ class _UnflattenChannel(Module):
         self.length = int(length)
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         return x.reshape(x.shape[0], 1, self.length)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.autoencoders.config import AutoencoderConfig
 from repro.nn.losses import Loss, MSELoss
-from repro.nn.module import Module
+from repro.nn.module import Module, as_compute
 from repro.nn.serialization import load_state_dict, state_dict
 from repro.utils.rng import as_rng
 
@@ -75,7 +75,7 @@ class BlockAutoencoder(Module):
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
         scale = self.norm_max - self.norm_min
-        return 2.0 * (np.asarray(values, dtype=np.float64) - self.norm_min) / scale - 1.0
+        return 2.0 * (as_compute(values) - self.norm_min) / scale - 1.0
 
     def denormalize(self, values: np.ndarray) -> np.ndarray:
         scale = self.norm_max - self.norm_min
@@ -84,7 +84,7 @@ class BlockAutoencoder(Module):
     # ------------------------------------------------------------ shape utils
     def _with_channel(self, blocks: np.ndarray) -> np.ndarray:
         """Accept (N, *block) or (N, 1, *block) and return (N, 1, *block)."""
-        blocks = np.asarray(blocks, dtype=np.float64)
+        blocks = as_compute(blocks)
         expected_nd = self.config.ndim + 1
         if blocks.ndim == expected_nd:
             blocks = blocks[:, None, ...]
@@ -103,7 +103,8 @@ class BlockAutoencoder(Module):
     # ----------------------------------------------------------------- encode
     def encode(self, blocks: np.ndarray) -> np.ndarray:
         """Encode raw blocks into latent vectors of shape ``(N, latent_size)``."""
-        return _in_chunks(self._encode_chunk, self._with_channel(blocks))
+        return _in_chunks(self._encode_chunk,
+                          self._with_channel(np.asarray(blocks, dtype=np.float64)))
 
     def decode(self, latents: np.ndarray) -> np.ndarray:
         """Decode latent vectors back into raw-valued blocks ``(N, *block_shape)``."""

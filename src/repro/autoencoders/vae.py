@@ -81,7 +81,7 @@ class VariationalAutoencoder(BlockAutoencoder):
     def sample_latent(self, blocks: np.ndarray, rng=None) -> np.ndarray:
         """Sample z ~ q(z|x); differs between calls, unlike :meth:`encode`."""
         rng = as_rng(rng if rng is not None else self._rng)
-        x = self.normalize(self._with_channel(blocks))
+        x = self.normalize(self._with_channel(np.asarray(blocks, dtype=np.float64)))
         mu, logvar = self.encoder.forward_distribution(x, training=False)
         eps = rng.normal(size=mu.shape)
         return mu + np.exp(0.5 * logvar) * eps
@@ -95,7 +95,7 @@ class VariationalAutoencoder(BlockAutoencoder):
         x = self.normalize(self._with_channel(batch))
         mu, logvar = self.encoder.forward_distribution(x, training=True)
         logvar = np.clip(logvar, -10.0, 10.0)
-        eps = self._rng.normal(size=mu.shape)
+        eps = self._rng.normal(size=mu.shape).astype(mu.dtype, copy=False)
         std = np.exp(0.5 * logvar)
         z = mu + std * eps
 

@@ -31,7 +31,6 @@ from repro.nn.layers import (
     Identity,
     Flatten,
     Reshape,
-    BatchNorm,
 )
 from repro.nn.losses import MSELoss, L1Loss, LogCoshLoss
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -57,7 +56,6 @@ __all__ = [
     "Identity",
     "Flatten",
     "Reshape",
-    "BatchNorm",
     "MSELoss",
     "L1Loss",
     "LogCoshLoss",

@@ -1,11 +1,17 @@
 """im2col / col2im kernels for N-dimensional convolutions.
 
-Convolutions in :mod:`repro.nn.layers.conv` are expressed as one matrix
-multiplication per block over patch matrices.  Both directions loop over the
-kernel offsets (at most ``3**d`` iterations for the 3x3 / 3x3x3 kernels used
-by AE-SZ) and move one strided, fully vectorized slice per offset: ``im2col``
+Convolutions in :mod:`repro.nn.layers.conv` are expressed as matrix
+multiplications over patch matrices.  Both directions loop over the kernel
+offsets (at most ``3**d`` iterations for the 3x3 / 3x3x3 kernels used by
+AE-SZ) and move one strided, fully vectorized slice per offset: ``im2col``
 copies it into the patch matrix, its adjoint ``col2im`` accumulates it into a
 batch-innermost buffer.
+
+Patch matrices come in two layouts.  Block-major ``(N, C*K, L)`` keeps each
+block's patches contiguous, so inference runs one same-shaped GEMM per block
+and a block's result does not depend on its batch.  Batch-innermost
+``(C*K, L*N)`` (``batch_last=True``) makes a whole batch one GEMM, which is
+what training uses.
 
 The functions support arbitrary spatial dimensionality (1, 2 or 3 in this
 library) with per-axis stride and padding.
@@ -14,7 +20,7 @@ library) with per-axis stride and padding.
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -68,10 +74,13 @@ def conv_transpose_output_shape(
     return tuple(out)
 
 
-def _windows(offset: Sequence[int], stride: Sequence[int],
-             out_spatial: Sequence[int]) -> Tuple[slice, ...]:
-    """Slices selecting, per axis, the input positions kernel ``offset`` touches."""
-    return tuple(slice(o, o + st * n, st) for o, st, n in zip(offset, stride, out_spatial))
+def _offsets(kernel: Sequence[int], stride: Sequence[int], out_spatial: Sequence[int]
+             ) -> Iterator[Tuple[Tuple[int, ...], Tuple[slice, ...]]]:
+    """Each kernel offset, with the slices selecting, per axis, the input
+    positions it touches."""
+    windows = ([slice(o, o + st * n, st) for o in range(k)]
+               for k, st, n in zip(kernel, stride, out_spatial))
+    return zip(product(*(range(k) for k in kernel)), product(*windows))
 
 
 def im2col(
@@ -79,6 +88,7 @@ def im2col(
     kernel: Sequence[int],
     stride: Sequence[int],
     padding: Sequence[int],
+    batch_last: bool = False,
 ) -> np.ndarray:
     """Extract convolution patches.
 
@@ -88,12 +98,15 @@ def im2col(
         Input of shape ``(N, C, *spatial)``.
     kernel, stride, padding:
         Per-spatial-axis kernel size, stride and zero padding.
+    batch_last:
+        Lay the patches out batch-innermost (see the module docstring).
 
     Returns
     -------
     ndarray of shape ``(N, C * prod(kernel), prod(out_spatial))``: every
     block's ``(C * prod(kernel), L)`` patch matrix is contiguous, so a
-    convolution is one same-shaped GEMM per block.
+    convolution is one same-shaped GEMM per block.  With ``batch_last`` the
+    shape is ``(C * prod(kernel), prod(out_spatial) * N)`` instead.
     """
     ndim = x.ndim - 2
     kernel = _normalize(kernel, ndim, "kernel")
@@ -103,18 +116,28 @@ def im2col(
     spatial = x.shape[2:]
     out_spatial = conv_output_shape(spatial, kernel, stride, padding)
 
-    if any(padding):
-        xp = np.zeros((n, c) + tuple(s + 2 * p for s, p in zip(spatial, padding)), dtype=x.dtype)
-        xp[(slice(None), slice(None)) + tuple(slice(p, p + s) for p, s in zip(padding, spatial))] = x
+    # ``lead`` and ``tail`` are the axes around the spatial ones: (N, C) and ()
+    # per block, (C,) and (N,) batch-innermost.  The batch-innermost view is
+    # copied even unpadded, so each offset's copy reads N-long contiguous runs.
+    if batch_last:
+        xv, head, lead, tail = np.moveaxis(x, 0, -1), (slice(None),), (c,), (n,)
     else:
-        xp = x
+        xv, head, lead, tail = x, (slice(None),) * 2, (n, c), ()
+    if any(padding) or batch_last:
+        xp = np.zeros(lead + tuple(s + 2 * p for s, p in zip(spatial, padding)) + tail,
+                      dtype=x.dtype)
+        xp[head + tuple(slice(p, p + s) for p, s in zip(padding, spatial))] = xv
+    else:
+        xp = xv
 
     # One strided copy per kernel offset, straight into the patch matrix.
-    cols = np.empty((n, c) + kernel + out_spatial, dtype=x.dtype)
-    for offset in product(*(range(k) for k in kernel)):
-        cols[(slice(None), slice(None)) + offset] = xp[
-            (slice(None), slice(None)) + _windows(offset, stride, out_spatial)]
-    return cols.reshape(n, c * int(np.prod(kernel)), int(np.prod(out_spatial)))
+    cols = np.empty(lead + kernel + out_spatial + tail, dtype=x.dtype)
+    for offset, window in _offsets(kernel, stride, out_spatial):
+        cols[head + offset] = xp[head + window]
+    rows = c * int(np.prod(kernel))
+    if batch_last:
+        return cols.reshape(rows, -1)
+    return cols.reshape(n, rows, int(np.prod(out_spatial)))
 
 
 def col2im(
@@ -123,6 +146,7 @@ def col2im(
     kernel: Sequence[int],
     stride: Sequence[int],
     padding: Sequence[int],
+    batch_last: bool = False,
 ) -> np.ndarray:
     """Scatter-add patch columns back into an input-shaped array.
 
@@ -139,7 +163,8 @@ def col2im(
     Parameters
     ----------
     cols:
-        ``(N, C * prod(kernel), prod(out_spatial))`` patch matrix.
+        ``(N, C * prod(kernel), prod(out_spatial))`` patch matrix, or
+        ``(C * prod(kernel), prod(out_spatial) * N)`` with ``batch_last``.
     input_shape:
         The *unpadded* input shape ``(N, C, *spatial)`` to scatter into.
     """
@@ -154,10 +179,13 @@ def col2im(
     out_spatial = conv_output_shape(padded_spatial, kernel, stride, (0,) * ndim)
 
     # (C, *kernel, *out_spatial, N) view of the columns.
-    src = np.moveaxis(cols.reshape((n, c) + kernel + out_spatial), 0, -1)
+    if batch_last:
+        src = cols.reshape((c,) + kernel + out_spatial + (n,))
+    else:
+        src = np.moveaxis(cols.reshape((n, c) + kernel + out_spatial), 0, -1)
     acc = np.zeros((c,) + padded_spatial + (n,), dtype=cols.dtype)
-    for offset in product(*(range(k) for k in kernel)):
-        acc[(slice(None),) + _windows(offset, stride, out_spatial)] += src[(slice(None),) + offset]
+    for offset, window in _offsets(kernel, stride, out_spatial):
+        acc[(slice(None),) + window] += src[(slice(None),) + offset]
 
     interior = tuple(slice(p, p + s) for p, s in zip(padding, spatial))
     return np.ascontiguousarray(np.moveaxis(acc[(slice(None),) + interior], -1, 0))

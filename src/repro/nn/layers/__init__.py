@@ -6,7 +6,6 @@ from repro.nn.layers.conv_transpose import ConvTranspose2d, ConvTranspose3d, Con
 from repro.nn.layers.gdn import GDN, IGDN
 from repro.nn.layers.activations import ReLU, LeakyReLU, Tanh, Sigmoid, Identity
 from repro.nn.layers.reshape import Flatten, Reshape
-from repro.nn.layers.norm import BatchNorm
 
 __all__ = [
     "Dense",
@@ -25,5 +24,4 @@ __all__ = [
     "Identity",
     "Flatten",
     "Reshape",
-    "BatchNorm",
 ]

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, as_compute
 
 
 class ReLU(Module):
@@ -20,7 +20,7 @@ class ReLU(Module):
         self._mask = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         mask = x > 0
         self._mask = mask if self._resolve_training(training) else None
         return np.where(mask, x, 0.0)
@@ -39,7 +39,7 @@ class LeakyReLU(Module):
         self._mask = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         mask = x > 0
         self._mask = mask if self._resolve_training(training) else None
         return np.where(mask, x, self.negative_slope * x)
@@ -57,14 +57,14 @@ class Tanh(Module):
         self._out = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        out = np.tanh(np.asarray(x, dtype=np.float64))
+        out = np.tanh(as_compute(x))
         self._out = out if self._resolve_training(training) else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward called before forward")
-        return grad * (1.0 - self._out**2)
+        return np.asarray(grad, dtype=self._out.dtype) * (1.0 - self._out**2)
 
 
 class Sigmoid(Module):
@@ -74,7 +74,7 @@ class Sigmoid(Module):
         self._out = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         out = 1.0 / (1.0 + np.exp(-x))
         self._out = out if self._resolve_training(training) else None
         return out
@@ -82,14 +82,14 @@ class Sigmoid(Module):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward called before forward")
-        return grad * self._out * (1.0 - self._out)
+        return np.asarray(grad, dtype=self._out.dtype) * self._out * (1.0 - self._out)
 
 
 class Identity(Module):
     """Pass-through layer (useful as a configurable activation placeholder)."""
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
+        return as_compute(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad

@@ -8,10 +8,20 @@ import numpy as np
 
 from repro.nn import init as nn_init
 from repro.nn.im2col import _normalize, col2im, conv_output_shape, im2col
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, as_compute
 from repro.utils.rng import SeedLike, as_rng
 
 IntOrSeq = Union[int, Sequence[int]]
+
+
+def _to_rows(t: np.ndarray) -> np.ndarray:
+    """``(N, C, *spatial)`` -> batch-innermost ``(C, prod(spatial) * N)``."""
+    return np.moveaxis(t, 0, -1).reshape(t.shape[1], -1)
+
+
+def _from_rows(t: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_to_rows` into a contiguous array of ``shape``."""
+    return np.ascontiguousarray(np.moveaxis(t.reshape(shape[1:] + shape[:1]), -1, 0))
 
 
 class _ConvCore(Module):
@@ -25,9 +35,14 @@ class _ConvCore(Module):
     **GEMM scatter**, maps ``(N, rows, L)`` back: ``np.matmul(w_flat.T, g)``,
     then the ``col2im`` scatter-add.  :class:`ConvNd` runs the patch GEMM
     forward and the scatter backward; :class:`ConvTransposeNd` runs them the
-    other way round.  Either way a block's result does not depend on what
-    else is in the batch.  What ``backward`` needs is kept only when
-    ``training`` resolves to true.
+    other way round.
+
+    When ``training`` resolves to false, a block's result does not depend on
+    what else is in the batch, which AE-SZ's decoder relies on.  When it
+    resolves to true, both kernels work on batch-innermost ``(rows, L*N)``
+    operands instead, one GEMM per layer for the whole batch; training has no
+    batch-invariance contract, and it keeps what ``backward`` needs.  Layers
+    compute in their input's dtype (:func:`repro.nn.module.as_compute`).
     """
 
     _kind = "Conv"
@@ -62,7 +77,7 @@ class _ConvCore(Module):
 
     # -------------------------------------------------------------- plumbing
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         label = f"{self._kind}{self.ndim}d"
         if x.ndim != self.ndim + 2:
             raise ValueError(
@@ -84,25 +99,29 @@ class _ConvCore(Module):
 
     def _add_bias(self, out: np.ndarray) -> None:
         if self.bias is not None:
-            out += self.bias.value.reshape((1, -1) + (1,) * (out.ndim - 2))
+            out += self.bias.value.astype(out.dtype, copy=False).reshape(
+                (1, -1) + (1,) * (out.ndim - 2))
 
     # --------------------------------------------------------------- kernels
-    def _patch_gemm(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(cols, w_flat @ cols)`` for a patch-side ``x``."""
-        cols = im2col(x, self.kernel_size, self.stride, self.padding)
-        return cols, np.matmul(self.weight.value.reshape(self.weight.shape[0], -1), cols)
+    def _w_flat(self, dtype: np.dtype) -> np.ndarray:
+        return self.weight.value.astype(dtype, copy=False).reshape(self.weight.shape[0], -1)
 
-    def _gemm_scatter(self, g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    def _patch_gemm(self, x: np.ndarray, batch_last: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cols, w_flat @ cols)`` for a patch-side ``x``."""
+        cols = im2col(x, self.kernel_size, self.stride, self.padding, batch_last)
+        return cols, np.matmul(self._w_flat(x.dtype), cols)
+
+    def _gemm_scatter(self, g: np.ndarray, shape: Tuple[int, ...],
+                      batch_last: bool) -> np.ndarray:
         """``col2im(w_flat.T @ g)`` into a patch-side tensor of ``shape``."""
-        cols = np.matmul(self.weight.value.reshape(self.weight.shape[0], -1).T, g)
-        return col2im(cols, shape, self.kernel_size, self.stride, self.padding)
+        cols = np.matmul(self._w_flat(g.dtype).T, g)
+        return col2im(cols, shape, self.kernel_size, self.stride, self.padding, batch_last)
 
     def _accumulate_grads(self, rows: np.ndarray, cols: np.ndarray, grad: np.ndarray) -> None:
-        """Add ``sum_n rows @ cols.T`` to the weight gradient and the sum of
-        the output gradient ``grad`` over all but its channel axis to the
-        bias gradient."""
-        dw = np.matmul(rows, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.grad += dw.reshape(self.weight.value.shape)
+        """Add the batch-innermost ``rows @ cols.T`` to the weight gradient and
+        the sum of the output gradient ``grad`` over all but its channel axis
+        to the bias gradient."""
+        self.weight.grad += (rows @ cols.T).reshape(self.weight.value.shape)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(0,) + tuple(range(2, grad.ndim)))
 
@@ -117,17 +136,20 @@ class ConvNd(_ConvCore):
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
         x = self._check_input(x)
-        out_spatial = self.output_spatial(x.shape[2:])
-        cols, out = self._patch_gemm(x)
+        training = self._resolve_training(training)
+        shape = (x.shape[0], self.out_channels) + self.output_spatial(x.shape[2:])
+        cols, out = self._patch_gemm(x, training)
+        out = _from_rows(out, shape) if training else out.reshape(shape)
         self._add_bias(out)
         self._keep(training, cols, x.shape)
-        return out.reshape((x.shape[0], self.out_channels) + out_spatial)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         cols, x_shape = self._kept()
-        grad = np.asarray(grad, dtype=np.float64).reshape(x_shape[0], self.out_channels, -1)
-        self._accumulate_grads(grad, cols, grad)
-        return self._gemm_scatter(grad, x_shape)
+        grad = np.asarray(grad, dtype=cols.dtype)
+        g = _to_rows(grad)
+        self._accumulate_grads(g, cols, grad)
+        return self._gemm_scatter(g, x_shape, True)
 
 
 class Conv2d(ConvNd):

@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.im2col import _normalize, conv_transpose_output_shape
-from repro.nn.layers.conv import IntOrSeq, _ConvCore
+from repro.nn.layers.conv import IntOrSeq, _ConvCore, _from_rows, _to_rows
 from repro.utils.rng import SeedLike
 
 
@@ -39,19 +39,21 @@ class ConvTransposeNd(_ConvCore):
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
         x = self._check_input(x)
+        training = self._resolve_training(training)
         n = x.shape[0]
-        x_flat = x.reshape(n, self.in_channels, -1)
-        out = self._gemm_scatter(x_flat, (n, self.out_channels) + self.output_spatial(x.shape[2:]))
+        x_flat = _to_rows(x) if training else x.reshape(n, self.in_channels, -1)
+        out = self._gemm_scatter(x_flat, (n, self.out_channels) + self.output_spatial(x.shape[2:]),
+                                 training)
         self._add_bias(out)
         self._keep(training, x_flat, x.shape)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x_flat, x_shape = self._kept()
-        grad = np.asarray(grad, dtype=np.float64)
-        dcols, dx_flat = self._patch_gemm(grad)
+        grad = np.asarray(grad, dtype=x_flat.dtype)
+        dcols, dx_flat = self._patch_gemm(grad, True)
         self._accumulate_grads(x_flat, dcols, grad)
-        return dx_flat.reshape(x_shape)
+        return _from_rows(dx_flat, x_shape)
 
 
 class ConvTranspose2d(ConvTransposeNd):

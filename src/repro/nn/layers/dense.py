@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import init as nn_init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, as_compute
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -39,23 +39,23 @@ class Dense(Module):
         self._cache_x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"Dense expected input of shape (N, {self.in_features}), got {x.shape}"
             )
         self._cache_x = x if self._resolve_training(training) else None
-        out = np.matmul(x[:, None, :], self.weight.value)[:, 0, :]
+        out = np.matmul(x[:, None, :], self.weight.value.astype(x.dtype, copy=False))[:, 0, :]
         if self.bias is not None:
-            out += self.bias.value
+            out += self.bias.value.astype(x.dtype, copy=False)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache_x is None:
             raise RuntimeError("backward called before forward")
         x = self._cache_x
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=x.dtype)
         self.weight.grad += x.T @ grad
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=0)
-        return grad @ self.weight.value.T
+        return grad @ self.weight.value.astype(x.dtype, copy=False).T

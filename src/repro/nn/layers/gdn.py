@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, as_compute
 
 
 class _GDNBase(Module):
@@ -46,8 +46,10 @@ class _GDNBase(Module):
         per block, so a block's result does not depend on its batch.
         """
         x2 = x * x
-        u = np.matmul(self.gamma.value, x2.reshape(x.shape[0], self.channels, -1)).reshape(x.shape)
-        u += self.beta.value.reshape((1, self.channels) + (1,) * (x.ndim - 2))
+        gamma = self.gamma.value.astype(x.dtype, copy=False)
+        u = np.matmul(gamma, x2.reshape(x.shape[0], self.channels, -1)).reshape(x.shape)
+        u += self.beta.value.astype(x.dtype, copy=False).reshape(
+            (1, self.channels) + (1,) * (x.ndim - 2))
         np.maximum(u, self.beta_min, out=u)
         z = np.sqrt(u)
         return x2, u, z
@@ -59,14 +61,14 @@ class _GDNBase(Module):
         x2 = x2.reshape(du.shape)
         self.beta.grad += du.sum(axis=(0, 2))
         self.gamma.grad += np.matmul(du, x2.transpose(0, 2, 1)).sum(axis=0)
-        return np.matmul(self.gamma.value.T, du).reshape(shape)
+        return np.matmul(self.gamma.value.astype(du.dtype, copy=False).T, du).reshape(shape)
 
 
 class GDN(_GDNBase):
     """Divisive normalization: ``y_i = x_i / sqrt(beta_i + sum_j gamma_ij x_j^2)``."""
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ValueError(f"GDN expected {self.channels} channels, got input shape {x.shape}")
         x2, u, z = self._norm_pool(x)
@@ -77,7 +79,7 @@ class GDN(_GDNBase):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, x2, u, z = self._cache
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=x.dtype)
 
         # dL/du_i = g_i * x_i * (-1/2) * u_i^{-3/2}
         du = grad * x * (-0.5) * u ** (-1.5)
@@ -90,7 +92,7 @@ class IGDN(_GDNBase):
     """Inverse GDN: ``y_i = x_i * sqrt(beta_i + sum_j gamma_ij x_j^2)``."""
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ValueError(f"IGDN expected {self.channels} channels, got input shape {x.shape}")
         x2, u, z = self._norm_pool(x)
@@ -101,7 +103,7 @@ class IGDN(_GDNBase):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x, x2, u, z = self._cache
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=x.dtype)
 
         # dL/du_i = g_i * x_i * (1/2) * u_i^{-1/2}
         du = grad * x * 0.5 / z

@@ -6,7 +6,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, as_compute
 
 
 class Flatten(Module):
@@ -16,7 +16,7 @@ class Flatten(Module):
         self._shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -34,7 +34,7 @@ class Reshape(Module):
         self._shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: Optional[bool] = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = as_compute(x)
         self._shape = x.shape
         return x.reshape((x.shape[0],) + self.target_shape)
 

@@ -10,6 +10,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.nn.module import as_compute
+
 
 class Loss:
     """Base class for losses (mean-reduced over all elements)."""
@@ -19,8 +21,8 @@ class Loss:
 
     @staticmethod
     def _check(prediction: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        prediction = np.asarray(prediction, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
+        prediction = as_compute(prediction)
+        target = np.asarray(target, dtype=prediction.dtype)
         if prediction.shape != target.shape:
             raise ValueError(
                 f"prediction shape {prediction.shape} != target shape {target.shape}"

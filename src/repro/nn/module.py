@@ -7,6 +7,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 
+def as_compute(x) -> np.ndarray:
+    """``x`` as an array of the dtype a layer computes in: float32 stays
+    float32 (the training loop's choice), anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 class Parameter:
     """A trainable tensor with an accumulated gradient."""
 

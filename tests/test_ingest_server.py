@@ -474,7 +474,7 @@ class TestIngestWorker:
         assert ingest_mod._WORKER.pid not in (None, dead)
 
     def test_stalled_upload_does_not_hold_the_worker(self, front_end):
-        url, _ = front_end
+        url, manager = front_end
         arr = _field(seed=24)
         half = arr.nbytes // 2
         body = arr.tobytes()
@@ -482,6 +482,14 @@ class TestIngestWorker:
             s.sendall(_head("a", arr, **{"Transfer-Encoding": "chunked",
                                          "X-Repro-Chunk-Size": "64"})
                       + b"\r\n" + b"%x\r\n" % half + body[:half] + b"\r\n")
+            # The second push must not reach the manager before the first.
+            deadline = time.monotonic() + 10
+            while True:
+                with manager._lock:
+                    if "a" in manager._active:
+                        break
+                assert time.monotonic() < deadline, "key a's ingest never started"
+                time.sleep(0.01)
             # Key a's ingest is in flight (409), and its first half has had
             # time to cross to the worker; then its client goes quiet.
             with pytest.raises(PushError) as exc:

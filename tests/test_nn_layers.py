@@ -6,7 +6,6 @@ import pytest
 from repro.nn import (
     GDN,
     IGDN,
-    BatchNorm,
     Conv2d,
     Conv3d,
     ConvTranspose2d,
@@ -225,30 +224,6 @@ class TestReshapeFlatten:
             Flatten().backward(np.zeros((1, 2)))
 
 
-class TestBatchNorm:
-    def test_training_normalizes(self, rng):
-        layer = BatchNorm(3)
-        x = 5.0 + 2.0 * rng.normal(size=(16, 3, 4, 4))
-        out = layer.forward(x, training=True)
-        assert abs(out.mean()) < 1e-6
-        assert out.std() == pytest.approx(1.0, abs=1e-2)
-
-    def test_eval_uses_running_stats(self, rng):
-        layer = BatchNorm(2)
-        x = rng.normal(size=(8, 2, 4))
-        for _ in range(10):
-            layer.forward(x, training=True)
-        out_eval = layer.forward(x, training=False)
-        assert out_eval.shape == x.shape
-
-    def test_gradients_training(self, rng):
-        check_layer_gradients(BatchNorm(2), rng.normal(size=(4, 2, 3)), rtol=1e-3, atol=1e-5)
-
-    def test_wrong_channels_raise(self, rng):
-        with pytest.raises(ValueError):
-            BatchNorm(3).forward(rng.normal(size=(2, 2, 4)))
-
-
 class TestSequential:
     def test_forward_backward_chain(self, rng):
         model = Sequential(Dense(6, 4, rng=1), ReLU(), Dense(4, 2, rng=2))
@@ -278,7 +253,7 @@ class TestSequential:
         assert model.num_parameters() == (3 * 2 + 2) + (2 * 1 + 1)
 
     def test_train_eval_propagates(self):
-        model = Sequential(BatchNorm(2), ReLU())
+        model = Sequential(Dense(2, 2, rng=1), ReLU())
         model.eval()
         assert model[0].training is False
         model.train()

@@ -21,8 +21,17 @@ from repro.nn import (
     save_module,
     state_dict,
 )
+from repro.autoencoders import (
+    AutoencoderConfig,
+    ResidualConvAutoencoder,
+    create_autoencoder,
+)
+from repro.nn.im2col import im2col
+from repro.nn.layers.conv import ConvNd
+from repro.nn.layers.conv_transpose import ConvTransposeNd
 from repro.nn.module import Module, Parameter
-from repro.nn.training import TrainingHistory
+from repro.nn.serialization import fingerprint_with_norm
+from repro.nn.training import TrainingHistory, fit_autoencoder
 
 
 class TestLosses:
@@ -244,3 +253,144 @@ class TestSerialization:
         state = state_dict(model)
         state["bogus"] = np.zeros(3)
         load_state_dict(model, state, strict=False)
+
+
+# ------------------------------------------------------------ float32 training
+def _conv_ae(kind, ndim):
+    return create_autoencoder(kind, AutoencoderConfig(
+        ndim=ndim, block_size=8, latent_size=4, channels=(2, 4), seed=0))
+
+
+#: Builders of the models whose float32 step is held to the float64 one.
+_MODELS = {
+    "swae-2d": lambda: _conv_ae("swae", 2),
+    "swae-3d": lambda: _conv_ae("swae", 3),
+    "vae-2d": lambda: _conv_ae("vae", 2),
+    "ae-b-3d": lambda: ResidualConvAutoencoder(block_size=8, ndim=3, channels=2,
+                                               latent_channels=1, n_residual=2,
+                                               n_compression=2, seed=0),
+}
+
+
+def _small_fit():
+    model = _conv_ae("swae", 2)
+    blocks = np.cumsum(np.random.default_rng(4).normal(size=(24, 8, 8)), axis=-1)
+    fit_autoencoder(model, [blocks], TrainingConfig(epochs=2, batch_size=8, seed=0),
+                    max_samples=24, seed=0)
+    return model
+
+
+class TestFloat32Training:
+    """The training loop computes in float32; everything it leaves behind,
+    and every inference forward, is float64."""
+
+    # float32 carries ~6e-8 relative; a gradient is a sum over every position
+    # of every block in the batch, through ~10 layers.  The whole gradient
+    # stays within 2e-6; a bias gradient (a sum with cancellation) within 1e-5.
+    WHOLE_RTOL = 2e-6
+    PARAM_RTOL = 1e-5
+
+    @pytest.mark.parametrize("name", list(_MODELS))
+    def test_float32_step_matches_the_float64_step(self, name):
+        model32, model64 = _MODELS[name](), _MODELS[name]()
+        ndim = model64.config.ndim
+        rng = np.random.default_rng(3)
+        batch = np.cumsum(rng.normal(size=(8,) + (8,) * ndim), axis=-1)
+        batch = batch.astype(np.float32).astype(np.float64)
+        for model in (model32, model64):
+            model.fit_normalization(batch)
+            model.zero_grad()
+        loss64 = model64.train_step(batch)
+        loss32 = model32.train_step(batch.astype(np.float32))
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        g32 = [p.grad for p in model32.parameters()]
+        g64 = [p.grad for p in model64.parameters()]
+        for a, b in zip(g32, g64):
+            assert a.dtype == np.float64
+            assert np.linalg.norm(a - b) <= self.PARAM_RTOL * np.linalg.norm(b)
+        whole32 = np.concatenate([g.ravel() for g in g32])
+        whole64 = np.concatenate([g.ravel() for g in g64])
+        assert np.linalg.norm(whole32 - whole64) <= self.WHOLE_RTOL * np.linalg.norm(whole64)
+        # ... and the float32 step did compute in float32.
+        x32 = model32.normalize(model32._with_channel(batch.astype(np.float32)))
+        latent = model32.encoder.forward(x32, training=True)
+        assert latent.dtype == model32.decoder.forward(latent, training=True).dtype == np.float32
+
+    def test_fit_leaves_float64_parameters_grads_moments_and_npz(self, tmp_path):
+        model = _conv_ae("swae", 2)
+        data = np.random.default_rng(5).normal(size=(16, 1, 8, 8))
+        model.fit_normalization(data)
+        fed = []
+        step = model.train_step
+        model.train_step = lambda batch: fed.append(batch.dtype) or step(batch)
+        trainer = Trainer(model, config=TrainingConfig(epochs=1, batch_size=8, seed=0))
+        trainer.fit(data)
+        assert fed == [np.float32, np.float32]
+        for p in model.parameters():
+            assert p.value.dtype == p.grad.dtype == np.float64, p.name
+        for moment in trainer.optimizer._m + trainer.optimizer._v:
+            assert moment.dtype == np.float64
+        model.save(tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as saved:
+            assert {saved[k].dtype for k in saved.files} == {np.dtype(np.float64)}
+        assert model.encode(data[:2]).dtype == np.float64
+
+    def test_two_fits_with_one_seed_give_one_fingerprint(self):
+        assert fingerprint_with_norm(_small_fit()) == fingerprint_with_norm(_small_fit())
+
+
+class TestTrainingLayoutMatchesInference:
+    """In float64, the batch-innermost training kernels compute what the
+    per-block inference kernels compute, up to summation order."""
+
+    RTOL = 1e-12
+
+    def _close(self, got, want):
+        assert np.max(np.abs(got - want)) <= self.RTOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_conv_forward_and_backward(self, ndim, stride):
+        rng = np.random.default_rng(ndim + 10 * stride)
+        conv = ConvNd(ndim, 2, 3, 3, stride=stride, padding=1, rng=rng)
+        conv.bias.value[...] = rng.normal(size=3)
+        x = rng.normal(size=(5, 2) + (6,) * ndim)
+        inference = conv.forward(x, training=False)
+        out = conv.forward(x, training=True)
+        self._close(out, inference)
+
+        g = rng.normal(size=out.shape)
+        conv.zero_grad()
+        dx = conv.backward(g)
+        # The input gradient is the transposed convolution's inference forward.
+        adjoint = ConvTransposeNd(ndim, 3, 2, 3, stride=stride, padding=1,
+                                  output_padding=stride - 1, bias=False)
+        adjoint.weight.value[...] = conv.weight.value
+        self._close(dx, adjoint.forward(g, training=False))
+        cols = im2col(x, 3, stride, 1)
+        dw = np.matmul(g.reshape(5, 3, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        self._close(conv.weight.grad, dw.reshape(conv.weight.shape))
+        self._close(conv.bias.grad, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_conv_transpose_forward_and_backward(self, ndim, stride):
+        rng = np.random.default_rng(ndim + 10 * stride + 1)
+        deconv = ConvTransposeNd(ndim, 3, 2, 3, stride=stride, padding=1,
+                                 output_padding=stride - 1, rng=rng)
+        deconv.bias.value[...] = rng.normal(size=2)
+        x = rng.normal(size=(5, 3) + (4,) * ndim)
+        inference = deconv.forward(x, training=False)
+        out = deconv.forward(x, training=True)
+        self._close(out, inference)
+
+        g = rng.normal(size=out.shape)
+        deconv.zero_grad()
+        dx = deconv.backward(g)
+        # The input gradient is the convolution's inference forward.
+        adjoint = ConvNd(ndim, 2, 3, 3, stride=stride, padding=1, bias=False)
+        adjoint.weight.value[...] = deconv.weight.value
+        self._close(dx, adjoint.forward(g, training=False))
+        dcols = im2col(g, 3, stride, 1)
+        dw = np.matmul(x.reshape(5, 3, -1), dcols.transpose(0, 2, 1)).sum(axis=0)
+        self._close(deconv.weight.grad, dw.reshape(deconv.weight.shape))
